@@ -2,29 +2,39 @@ package cluster
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
-// FuzzDecodeExecuteRequest hammers the worker-side trust boundary: the
-// batch-dispatch decoder must never panic, must never accept a request
-// that violates its own invariants, and accepted requests must re-encode
-// and re-decode to the same batch (the coordinator and worker speak the
-// same dialect).
+// FuzzDecodeExecuteRequest hammers the worker-side trust boundary as the
+// execute endpoint sees it — body, Content-Type and Content-Encoding all
+// attacker-chosen: the decoder must never panic, must accept nothing but
+// the binary Content-Type, must never accept a request that violates its
+// own invariants, and accepted requests must re-encode and re-decode to
+// the same batch.
 func FuzzDecodeExecuteRequest(f *testing.F) {
-	f.Add([]byte(validExecuteJSON()))
-	f.Add([]byte(`{"job_id":"j","batch":1,"configs":[{"index":0,"spec":{"Benchmark":"x","Opts":{"distance":5}}}]}`))
-	f.Add([]byte(`{"job_id":"","configs":[]}`))
-	f.Add([]byte(`{"configs":[{"index":-1,"spec":{}}]}`))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(`{"job_id":"j","configs":[{"index":0,"spec":0}]}`))
-	f.Add([]byte("\x00\xff garbage"))
+	valid := EncodeExecuteRequestBinary(ExecuteRequest{JobID: "job-000001", Batch: 1,
+		Configs: []ExecuteConfig{{Index: 0, Spec: []byte(`{"Benchmark":"x","Opts":{"distance":5}}`)}}})
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(valid)
+	zw.Close()
+	f.Add(valid, BinaryContentType, "")
+	f.Add(gz.Bytes(), BinaryContentType, "gzip")
+	f.Add(gz.Bytes()[:gz.Len()/2], BinaryContentType+"; charset=utf-8", "gzip")
+	f.Add([]byte(`{"job_id":"j","batch":1,"configs":[{"index":0,"spec":{}}]}`), "application/json", "")
+	f.Add(valid, "", "identity")
+	f.Add(valid, BinaryContentType, "deflate")
+	f.Add([]byte("\x00\xff garbage"), BinaryContentType, "")
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeExecuteRequest(bytes.NewReader(data))
+	f.Fuzz(func(t *testing.T, data []byte, contentType, contentEncoding string) {
+		req, err := DecodeExecuteRequestAuto(bytes.NewReader(data), contentType, contentEncoding)
 		if err != nil {
 			return
+		}
+		if !isBinary(contentType) {
+			t.Fatalf("accepted a request with Content-Type %q", contentType)
 		}
 		// Accepted requests must satisfy the documented invariants.
 		if req.JobID == "" || req.Batch < 0 {
@@ -41,14 +51,15 @@ func FuzzDecodeExecuteRequest(f *testing.F) {
 				t.Fatalf("accepted non-increasing indices at %d", i)
 			}
 		}
-		// Round trip: encode and strictly re-decode.
-		enc, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("re-encode accepted request: %v", err)
+		// Round trip through the coordinator's send path.
+		wire, gzipped := MaybeGzip(EncodeExecuteRequestBinary(req))
+		ce := ""
+		if gzipped {
+			ce = "gzip"
 		}
-		again, err := DecodeExecuteRequest(strings.NewReader(string(enc)))
+		again, err := DecodeExecuteRequestAuto(bytes.NewReader(wire), BinaryContentType, ce)
 		if err != nil {
-			t.Fatalf("re-decode encoded request: %v\n%s", err, enc)
+			t.Fatalf("re-decode encoded request: %v", err)
 		}
 		if again.JobID != req.JobID || len(again.Configs) != len(req.Configs) {
 			t.Fatalf("round trip changed the batch: %+v vs %+v", again, req)
@@ -56,9 +67,10 @@ func FuzzDecodeExecuteRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeExecuteRequestBinary is the same trust-boundary contract for
-// the binary wire: no panics, no cap violations in accepted requests, and
-// every accepted request survives a binary re-encode/re-decode.
+// FuzzDecodeExecuteRequestBinary is the same trust-boundary contract on
+// the bare frame decoder: no panics, no cap violations in accepted
+// requests, and every accepted request survives a binary
+// re-encode/re-decode.
 func FuzzDecodeExecuteRequestBinary(f *testing.F) {
 	valid := EncodeExecuteRequestBinary(ExecuteRequest{JobID: "job-000001", Batch: 2,
 		Configs: []ExecuteConfig{

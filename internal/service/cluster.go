@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,7 +85,9 @@ func (s *Server) expirySweeper() {
 
 // handleRegister is the coordinator's membership endpoint: a worker's
 // first POST registers it, every subsequent POST is a heartbeat renewing
-// its liveness lease.
+// its liveness lease. A worker that cannot speak the binary wire (a build
+// from before it was the only one) is refused with a 400 naming what it
+// advertised, and never joins the registry.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req cluster.RegisterRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -93,6 +96,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.ID == "" || req.URL == "" {
 		writeError(w, http.StatusBadRequest, errors.New("service: register needs id and url"))
+		return
+	}
+	if !slices.Contains(req.Codecs, cluster.CodecBinary) {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: worker %s advertised codecs %q; this coordinator dispatches only %q",
+			req.ID, req.Codecs, cluster.CodecBinary))
 		return
 	}
 	st := s.clust.registry.Upsert(req)
@@ -165,7 +173,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	s.execInflight.Add(1)
 	defer s.execInflight.Add(-1)
-	req, codec, err := cluster.DecodeExecuteRequestAuto(
+	req, err := cluster.DecodeExecuteRequestAuto(
 		http.MaxBytesReader(w, r.Body, cluster.MaxExecuteBody),
 		r.Header.Get("Content-Type"), r.Header.Get("Content-Encoding"))
 	if err != nil {
@@ -200,19 +208,15 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, data)
 	}
-	if codec == cluster.CodecBinary {
-		body := cluster.EncodeExecuteResponseBinary(resp)
-		if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-			if gz, ok := cluster.MaybeGzip(body); ok {
-				body = gz
-				w.Header().Set("Content-Encoding", "gzip")
-			}
+	body := cluster.EncodeExecuteResponseBinary(resp)
+	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+		if gz, ok := cluster.MaybeGzip(body); ok {
+			body = gz
+			w.Header().Set("Content-Encoding", "gzip")
 		}
-		w.Header().Set("Content-Type", cluster.BinaryContentType)
-		w.Write(body)
-		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", cluster.BinaryContentType)
+	w.Write(body)
 }
 
 // dispatchable reports whether a job should go through the sharded
@@ -782,18 +786,7 @@ func (s *Server) raceBatch(ctx context.Context, primary cluster.Lease, req clust
 	return cluster.ExecuteResponse{}, cluster.Lease{}, firstErr
 }
 
-// wireCodec picks the dispatch encoding for one lease: binary when the
-// worker advertised it and the coordinator's wire_codec knob has not
-// forced the JSON debug path; JSON otherwise (including every worker that
-// predates codec negotiation).
-func (s *Server) wireCodec(lease cluster.Lease) string {
-	if lease.Binary && s.clust.cfg.WireCodec != cluster.CodecJSON {
-		return cluster.CodecBinary
-	}
-	return cluster.CodecJSON
-}
-
-// executeOnWorker POSTs one batch in the lease's negotiated codec,
+// executeOnWorker POSTs one batch to the lease's worker,
 // aborting the call the moment the worker is removed from the registry
 // (liveness expiry fires while the socket is still nominally open) so the
 // batch can be re-dispatched without waiting on a dead peer.
@@ -810,16 +803,11 @@ func (s *Server) executeOnWorker(ctx context.Context, lease cluster.Lease, req c
 		}
 	}()
 	s.stats.BatchesDispatched.Add(1)
-	resp, traffic, err := s.clust.client.ExecuteWith(callCtx, lease.URL, req, s.wireCodec(lease))
-	switch traffic.Codec {
-	case cluster.CodecBinary:
+	resp, traffic, err := s.clust.client.ExecuteWith(callCtx, lease.URL, req)
+	if traffic.BytesOut > 0 {
 		s.stats.WireBinaryBatches.Add(1)
 		s.stats.WireBinaryBytesOut.Add(traffic.BytesOut)
 		s.stats.WireBinaryBytesIn.Add(traffic.BytesIn)
-	case cluster.CodecJSON:
-		s.stats.WireJSONBatches.Add(1)
-		s.stats.WireJSONBytesOut.Add(traffic.BytesOut)
-		s.stats.WireJSONBytesIn.Add(traffic.BytesIn)
 	}
 	return resp, err
 }

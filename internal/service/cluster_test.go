@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -316,7 +318,7 @@ func TestClusterWorkerExpiry(t *testing.T) {
 	coord := startCoordinator(t, "")
 	client := cluster.NewClient(nil)
 	resp, err := client.Register(context.Background(), coord.ts.URL,
-		cluster.RegisterRequest{ID: "w-ghost", URL: "http://127.0.0.1:1", Capacity: 1})
+		cluster.RegisterRequest{ID: "w-ghost", URL: "http://127.0.0.1:1", Capacity: 1, Codecs: cluster.SupportedCodecs()})
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -367,11 +369,20 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 		}
 		req.Configs[i] = cluster.ExecuteConfig{Index: i + 5, Spec: data}
 	}
-	resp := postJSON(t, ts.URL+cluster.ExecutePath, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute: %d", resp.StatusCode)
+	resp, err := http.Post(ts.URL+cluster.ExecutePath, cluster.BinaryContentType,
+		bytes.NewReader(cluster.EncodeExecuteRequestBinary(req)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := decode[cluster.ExecuteResponse](t, resp)
+	frame, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute: %d %v", resp.StatusCode, err)
+	}
+	out, err := cluster.DecodeExecuteResponseBinary(frame)
+	if err != nil {
+		t.Fatalf("execute response: %v", err)
+	}
 	if len(out.Results) != 2 {
 		t.Fatalf("execute returned %d results", len(out.Results))
 	}
@@ -388,7 +399,8 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 		t.Fatalf("runner ran %d times, want 2", runner.calls.Load())
 	}
 
-	// Malformed batches never reach the engine.
+	// Malformed batches never reach the engine, and neither does a JSON
+	// batch (the wire older coordinators spoke).
 	for _, body := range []string{
 		``, `{`, `{"job_id":"j","configs":[]}`,
 		`{"job_id":"j","configs":[{"index":0,"spec":"not-a-spec"}]}`,
@@ -402,6 +414,21 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 			t.Fatalf("body %q: status %d, want 400", body, r.StatusCode)
 		}
 	}
+	badSpec := cluster.EncodeExecuteRequestBinary(cluster.ExecuteRequest{JobID: "j",
+		Configs: []cluster.ExecuteConfig{{Index: 0, Spec: json.RawMessage(`"not-a-spec"`)}}})
+	for _, body := range [][]byte{nil, badSpec, badSpec[:len(badSpec)-1]} {
+		r, err := http.Post(ts.URL+cluster.ExecutePath, cluster.BinaryContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("binary body %q: status %d, want 400", body, r.StatusCode)
+		}
+	}
+	if runner.calls.Load() != 2 {
+		t.Fatalf("malformed batches reached the runner: %d calls, want 2", runner.calls.Load())
+	}
 
 	// A standalone daemon does not expose the internal endpoints at all.
 	sa, tsa := newTestServer(t, config.Daemon{}, &countingRunner{})
@@ -413,11 +440,12 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 	}
 }
 
-// TestClusterLegacyWorkerJSONFallback is the mixed-version acceptance
-// test: a worker from a build that predates codec negotiation registers
-// without a codecs list, and the coordinator must finish the sweep over
-// the JSON wire rather than speak binary at a peer that never offered it.
-func TestClusterLegacyWorkerJSONFallback(t *testing.T) {
+// TestClusterLegacyWorkerRefused is the mixed-version acceptance test: a
+// worker from a build that predates the single binary wire registers
+// without a codecs list. The coordinator must refuse it loudly at register
+// (a 4xx naming what it advertised, surfaced through the heartbeater's
+// OnError), never list it, and still finish the sweep on its local pool.
+func TestClusterLegacyWorkerRefused(t *testing.T) {
 	coord := startCoordinator(t, "")
 
 	cfg := config.Daemon{
@@ -432,17 +460,38 @@ func TestClusterLegacyWorkerJSONFallback(t *testing.T) {
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
+	refused := make(chan error, 1)
 	hb := &cluster.Heartbeater{
 		Client:         cluster.NewClient(nil),
 		CoordinatorURL: coord.ts.URL,
 		// No Codecs field: exactly what an old worker binary sends.
 		Self:     cluster.RegisterRequest{ID: ts.URL, URL: ts.URL, Capacity: 1},
 		Interval: cfg.Cluster.HeartbeatInterval(),
+		OnError: func(err error) {
+			select {
+			case refused <- err:
+			default:
+			}
+		},
 	}
 	go hb.Run(ctx)
 	legacy := &clusterNode{srv: s, ts: ts, stop: cancel}
 	t.Cleanup(func() { legacy.shutdown(t) })
-	waitForWorkers(t, coord, 1)
+
+	var err error
+	select {
+	case err = <-refused:
+	case <-time.After(10 * time.Second):
+		t.Fatal("legacy worker's heartbeater never observed a refusal")
+	}
+	var se *cluster.StatusError
+	if !errors.As(err, &se) || se.Code < 400 || se.Code >= 500 || !strings.Contains(se.Body, "advertised codecs") {
+		t.Fatalf("legacy register error = %v, want a 4xx naming the advertised codecs", err)
+	}
+	health := decode[healthBody](t, get(t, coord.ts.URL+"/healthz"))
+	if health.Cluster == nil || health.Cluster.LiveWorkers != 0 || len(health.Cluster.Workers) != 0 {
+		t.Fatalf("refused worker listed on /healthz: %+v", health.Cluster)
+	}
 
 	req := chaosSweep
 	req.Benchmarks = []string{"vqe_n13"}
@@ -451,14 +500,14 @@ func TestClusterLegacyWorkerJSONFallback(t *testing.T) {
 	if view.State != JobDone || len(view.Results) != 12 {
 		t.Fatalf("mixed-version sweep: state=%s results=%d, want done/12", view.State, len(view.Results))
 	}
-	if n := coord.srv.Stats().RemoteConfigs.Load(); n == 0 {
-		t.Fatal("legacy worker executed nothing remotely")
-	}
-	if n := coord.srv.Stats().WireJSONBatches.Load(); n == 0 {
-		t.Fatal("no batch fell back to the JSON wire for the legacy worker")
+	if n := coord.srv.Stats().RemoteConfigs.Load(); n != 0 {
+		t.Fatalf("%d configurations ran on a refused worker", n)
 	}
 	if n := coord.srv.Stats().WireBinaryBatches.Load(); n != 0 {
-		t.Fatalf("%d batches went over the binary wire to a worker that never advertised it", n)
+		t.Fatalf("%d batches dispatched to a refused worker", n)
+	}
+	if health := decode[healthBody](t, get(t, coord.ts.URL+"/healthz")); len(health.Cluster.Workers) != 0 {
+		t.Fatalf("refused worker listed on /healthz after the sweep: %+v", health.Cluster.Workers)
 	}
 }
 
@@ -488,14 +537,11 @@ func TestWorkerExecuteCancelReturns503(t *testing.T) {
 	req := cluster.ExecuteRequest{JobID: "job-000001", Configs: []cluster.ExecuteConfig{
 		{Index: 0, Spec: spec}, {Index: 1, Spec: spec},
 	}}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := cluster.EncodeExecuteRequestBinary(req)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hr := httptest.NewRequest(http.MethodPost, cluster.ExecutePath, bytes.NewReader(body)).WithContext(ctx)
-	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set("Content-Type", cluster.BinaryContentType)
 	rec := httptest.NewRecorder()
 
 	done := make(chan struct{})

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -222,27 +224,66 @@ func TestRestartResumeAfterCrash(t *testing.T) {
 	a.Shutdown(ashCtx)
 }
 
-// TestRestartResumeFromJSONSeededStore is the codec-migration acceptance
-// test: a daemon pinned to the JSON debug codec is interrupted mid-sweep,
-// and a binary-default daemon reboots on the same store dir. The JSON-era
-// records must replay unchanged (same job id, same completed prefix), the
-// open must migrate the files to the binary codec, and the resumed result
-// set must stay byte-identical to an uninterrupted run.
+// rewriteAsJSONEra turns a closed store dir into the JSON-era layout older
+// daemons left behind: every record (snapshot, then log) as JSON lines in
+// wal.jsonl, and no snapshot file.
+func rewriteAsJSONEra(t *testing.T, dir string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := store.Dump(dir, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, store.SnapName)); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, store.WALName), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storeFormat reports the on-disk format of a store dir's files: "binary"
+// when every file opens with the binary magic, "json" when every file is
+// JSON lines, "mixed" otherwise.
+func storeFormat(t *testing.T, dir string) string {
+	t.Helper()
+	seen := map[bool]bool{}
+	for _, name := range []string{store.SnapName, store.WALName} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[bytes.HasPrefix(raw, []byte("RQWAL\x00"))] = true
+	}
+	switch {
+	case len(seen) != 1:
+		return "mixed"
+	case seen[true]:
+		return "binary"
+	}
+	return "json"
+}
+
+// TestRestartResumeFromJSONSeededStore is the format-migration acceptance
+// test: a daemon is interrupted mid-sweep, its store dir is rewritten into
+// the JSON-era layout, and a daemon reboots on it. The JSON-era records
+// must replay unchanged (same job id, same completed prefix), the open
+// must migrate the files to binary, and the resumed result set must stay
+// byte-identical to an uninterrupted run.
 func TestRestartResumeFromJSONSeededStore(t *testing.T) {
 	dir := t.TempDir()
 
-	// --- Server A: a JSON-codec daemon runs 2 of 4 configurations. ---
+	// --- Server A: runs 2 of 4 configurations, then dies. ---
 	runnerA := newGatedRunner()
-	a := New(config.Daemon{Workers: 1, WALCodec: store.CodecJSON}, runnerA)
+	a := New(config.Daemon{Workers: 1}, runnerA)
 	if _, err := a.AttachStore(dir); err != nil {
 		t.Fatal(err)
 	}
 	a.Start()
 	tsA := httptest.NewServer(a.Handler())
 	defer tsA.Close()
-	if st, ok := a.StoreStats(); !ok || st.Codec != store.CodecJSON {
-		t.Fatalf("server A codec = %q, want json", st.Codec)
-	}
 
 	submitted := decode[JobView](t, postJSON(t, tsA.URL+"/v1/sweep", fourConfigSweep))
 	runnerA.tokens <- struct{}{}
@@ -255,8 +296,12 @@ func TestRestartResumeFromJSONSeededStore(t *testing.T) {
 		return decode[JobView](t, resp).Progress.Done == 2
 	})
 	a.closeStore() // crash-style abandonment; only the flock is released
+	rewriteAsJSONEra(t, dir)
+	if f := storeFormat(t, dir); f != "json" {
+		t.Fatalf("seeded store dir is %s, want json", f)
+	}
 
-	// --- Server B: binary-default daemon on the JSON-era store dir. ---
+	// --- Server B: a daemon on the JSON-era store dir. ---
 	runnerB := newGatedRunner()
 	b := New(config.Daemon{Workers: 1}, runnerB)
 	rs, err := b.AttachStore(dir)
@@ -267,8 +312,8 @@ func TestRestartResumeFromJSONSeededStore(t *testing.T) {
 		t.Fatalf("replay stats = %+v, want 1 job / 2 results / 1 re-enqueued", rs)
 	}
 	// The first Open migrated the JSON-era files forward.
-	if st, ok := b.StoreStats(); !ok || st.Codec != store.CodecBinary {
-		t.Fatalf("server B codec = %q, want binary after migration", st.Codec)
+	if f := storeFormat(t, dir); f != "binary" {
+		t.Fatalf("store dir after server B's open is %s, want binary after migration", f)
 	}
 	b.Start()
 	tsB := httptest.NewServer(b.Handler())
@@ -321,8 +366,8 @@ func TestRestartResumeFromJSONSeededStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.Stats().Codec != store.CodecBinary {
-		t.Fatalf("reopened codec = %q, want binary", st.Stats().Codec)
+	if f := storeFormat(t, dir); f != "binary" {
+		t.Fatalf("reopened store dir is %s, want binary", f)
 	}
 	for _, rj := range st.Replayed() {
 		if rj.Job.ID == submitted.ID && len(rj.Results) == 4 {

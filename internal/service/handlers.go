@@ -522,14 +522,12 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 // store is attached): the WAL's size and the replay/coalesce/shed counters
 // in JSON form, mirroring their Prometheus twins on /metrics.
 type storeHealth struct {
-	Jobs        int   `json:"jobs"`
-	Records     int   `json:"records"`
-	Bytes       int64 `json:"bytes"`
-	Compactions int64 `json:"compactions"`
-	// Codec is the WAL's on-disk record format ("binary" or "json").
-	Codec           string `json:"codec,omitempty"`
-	ReplayedJobs    int64  `json:"replayed_jobs"`
-	ReplayedResults int64  `json:"replayed_results"`
+	Jobs            int   `json:"jobs"`
+	Records         int   `json:"records"`
+	Bytes           int64 `json:"bytes"`
+	Compactions     int64 `json:"compactions"`
+	ReplayedJobs    int64 `json:"replayed_jobs"`
+	ReplayedResults int64 `json:"replayed_results"`
 	// Durable is false while the daemon serves in lossy mode (a WAL write
 	// failed; the probe has not yet re-attached the disk) — never omitted,
 	// because false is exactly the value a monitor alerts on.
@@ -645,7 +643,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Records:         st.Records,
 			Bytes:           st.Bytes,
 			Compactions:     st.Compactions,
-			Codec:           st.Codec,
 			ReplayedJobs:    s.stats.ReplayedJobs.Load(),
 			ReplayedResults: s.stats.ReplayedResults.Load(),
 			Durable:         !s.Lossy(),
@@ -720,12 +717,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP rescqd_store_records Records in the WAL file.\n# TYPE rescqd_store_records gauge\nrescqd_store_records %d\n", st.Records)
 		fmt.Fprintf(w, "# HELP rescqd_store_bytes WAL file size in bytes.\n# TYPE rescqd_store_bytes gauge\nrescqd_store_bytes %d\n", st.Bytes)
 		fmt.Fprintf(w, "# HELP rescqd_store_compactions_total WAL compactions performed.\n# TYPE rescqd_store_compactions_total counter\nrescqd_store_compactions_total %d\n", st.Compactions)
-		fmt.Fprint(w, "# HELP rescqd_store_appends_total WAL records appended, by on-disk codec.\n# TYPE rescqd_store_appends_total counter\n")
-		fmt.Fprintf(w, "rescqd_store_appends_total{codec=\"binary\"} %d\n", st.AppendsBinary)
-		fmt.Fprintf(w, "rescqd_store_appends_total{codec=\"json\"} %d\n", st.AppendsJSON)
-		fmt.Fprint(w, "# HELP rescqd_store_append_bytes_total WAL bytes appended, by on-disk codec.\n# TYPE rescqd_store_append_bytes_total counter\n")
-		fmt.Fprintf(w, "rescqd_store_append_bytes_total{codec=\"binary\"} %d\n", st.AppendBytesBinary)
-		fmt.Fprintf(w, "rescqd_store_append_bytes_total{codec=\"json\"} %d\n", st.AppendBytesJSON)
+		// codec="binary" is kept so existing scrapers match unchanged.
+		fmt.Fprintf(w, "# HELP rescqd_store_appends_total WAL records appended.\n# TYPE rescqd_store_appends_total counter\nrescqd_store_appends_total{codec=\"binary\"} %d\n", st.Appends)
+		fmt.Fprintf(w, "# HELP rescqd_store_append_bytes_total WAL bytes appended.\n# TYPE rescqd_store_append_bytes_total counter\nrescqd_store_append_bytes_total{codec=\"binary\"} %d\n", st.AppendBytes)
 		durable := 1
 		if s.Lossy() {
 			durable = 0

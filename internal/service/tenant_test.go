@@ -333,13 +333,13 @@ func TestJobsTenantFilter(t *testing.T) {
 }
 
 // TestWALTenantCompat (service layer): default-tenant jobs persist exactly
-// as pre-tenancy daemons wrote them — no tenant key at all — and on replay
-// untagged records land on the default tenant while tagged ones keep
-// their name.
+// as pre-tenancy daemons wrote them — no tenant key at all in the JSON-era
+// record format — and on replay of a JSON-era store untagged records land
+// on the default tenant while tagged ones keep their name.
 func TestWALTenantCompat(t *testing.T) {
 	dir := t.TempDir()
 
-	a := New(config.Daemon{Workers: 1, WALCodec: store.CodecJSON}, &countingRunner{})
+	a := New(config.Daemon{Workers: 1}, &countingRunner{})
 	if _, err := a.AttachStore(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -359,6 +359,7 @@ func TestWALTenantCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	rewriteAsJSONEra(t, dir)
 	data, err := os.ReadFile(filepath.Join(dir, store.WALName))
 	if err != nil {
 		t.Fatal(err)

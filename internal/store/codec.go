@@ -14,25 +14,6 @@ import (
 	"time"
 )
 
-// Codec names for Options.Codec (and the daemon's wal_codec knob). Binary
-// is the default data plane; JSON is the debug/compat path and the format
-// of every log written before the binary codec existed.
-const (
-	CodecBinary = "binary"
-	CodecJSON   = "json"
-)
-
-// normalizeCodec maps "" to the default codec and rejects unknown names.
-func normalizeCodec(c string) (string, error) {
-	switch c {
-	case "", CodecBinary:
-		return CodecBinary, nil
-	case CodecJSON:
-		return CodecJSON, nil
-	}
-	return "", fmt.Errorf("store: unknown codec %q (want %q or %q)", c, CodecBinary, CodecJSON)
-}
-
 // binVersion is the binary log format version carried in the file header.
 // A reader that sees a version it does not speak refuses the whole file
 // rather than guessing at frame boundaries.
@@ -41,8 +22,8 @@ const binVersion = 1
 // walMagic is the 8-byte header opening every binary log and snapshot
 // file: five magic bytes, a NUL, the format version, and a newline (so
 // `head` on a binary log prints one clean line instead of flooding the
-// terminal). JSON logs are headerless — the first byte of a record is
-// always '{' — which is what makes per-file codec sniffing unambiguous.
+// terminal). Legacy JSON-lines logs are headerless — the first byte of a
+// record is always '{' — which is what makes per-file sniffing unambiguous.
 var walMagic = [8]byte{'R', 'Q', 'W', 'A', 'L', 0, binVersion, '\n'}
 
 // Binary record kinds: payload byte 0 of every frame.
@@ -69,21 +50,6 @@ const (
 // mismatch, an implausible length, or fields that decode to garbage. A
 // torn (incomplete) frame is reported as io.ErrUnexpectedEOF instead.
 var errCorruptRecord = errors.New("store: corrupt binary record")
-
-// encodeRecord renders one record ready for a single append Write: a JSON
-// line, or a length-prefixed CRC-protected binary frame. Writing a whole
-// record in one Write call is the crash-safety contract either way — a
-// crash can truncate the final record but never interleave two.
-func encodeRecord(codec string, v any) ([]byte, error) {
-	if codec == CodecJSON {
-		line, err := json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("store: encode record: %w", err)
-		}
-		return append(line, '\n'), nil
-	}
-	return encodeBinaryRecord(v)
-}
 
 // appendBlob appends a uvarint length prefix followed by the bytes.
 func appendBlob(b []byte, p []byte) []byte {
@@ -349,27 +315,4 @@ func readBinaryRecord(br *bufio.Reader) (rec any, complete bool, err error) {
 		return nil, true, err
 	}
 	return rec, true, nil
-}
-
-// sniffCodec inspects the opening bytes of a log stream: the binary magic
-// selects the binary replayer (consuming the header), anything else is a
-// JSON-lines log, and "" means the stream is empty (a fresh file, free to
-// adopt whichever codec is configured). An unknown binary version is
-// refused outright.
-func sniffCodec(br *bufio.Reader) (string, error) {
-	hdr, err := br.Peek(len(walMagic))
-	if len(hdr) == 0 {
-		if err == nil || err == io.EOF {
-			return "", nil
-		}
-		return "", err
-	}
-	if len(hdr) == len(walMagic) && bytes.Equal(hdr, walMagic[:]) {
-		br.Discard(len(walMagic))
-		return CodecBinary, nil
-	}
-	if len(hdr) >= 7 && bytes.Equal(hdr[:6], walMagic[:6]) && hdr[6] != binVersion {
-		return "", fmt.Errorf("store: unsupported binary log version %d (this build reads version %d)", hdr[6], binVersion)
-	}
-	return CodecJSON, nil
 }

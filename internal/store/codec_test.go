@@ -60,6 +60,26 @@ func resultPayload(t testing.TB, run int) json.RawMessage {
 	return mustJSON(t, payload)
 }
 
+// legacyLine renders rec as one line of a JSON-era log: the format the
+// store still replays (and migrates) but no longer writes, and the one
+// Dump prints. rec must carry its Type.
+func legacyLine(t testing.TB, rec any) []byte {
+	t.Helper()
+	return append(mustJSON(t, rec), '\n')
+}
+
+// writeLegacyLog seeds dir with a JSON-era log holding recs.
+func writeLegacyLog(t testing.TB, dir string, recs ...any) {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, rec := range recs {
+		buf.Write(legacyLine(t, rec))
+	}
+	if err := os.WriteFile(filepath.Join(dir, WALName), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBinaryRecordRoundTrip(t *testing.T) {
 	recs := []any{
 		JobRecord{Type: recJob, ID: "job-000001", Kind: "sweep",
@@ -100,19 +120,16 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 }
 
 // TestBinaryBytesPerResultRecord pins the acceptance criterion: the
-// binary codec spends at least 2x fewer bytes per persisted result record
-// than the JSON codec, on representative result payloads.
+// binary format spends at least 2x fewer bytes per persisted result record
+// than JSON-era lines did, on representative result payloads.
 func TestBinaryBytesPerResultRecord(t *testing.T) {
 	const n = 64
 	var jsonBytes, binBytes int
 	for i := 0; i < n; i++ {
 		rec := ResultRecord{Type: recResult, JobID: "job-000042", Index: i,
 			Key: fmt.Sprintf("cachekey-%032d", i), Result: resultPayload(t, i)}
-		jf, err := encodeRecord(CodecJSON, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bf, err := encodeRecord(CodecBinary, rec)
+		jf := legacyLine(t, rec)
+		bf, err := encodeBinaryRecord(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,9 +143,9 @@ func TestBinaryBytesPerResultRecord(t *testing.T) {
 	}
 }
 
-// TestJSONLogMigratesForward: a JSON-era wal.jsonl opens under the binary
-// default, replays byte-identically, and is migrated to the binary codec
-// by the Open-time compaction.
+// TestJSONLogMigratesForward: a JSON-era wal.jsonl opens, replays
+// byte-identically, and is migrated to the binary format by the Open-time
+// compaction.
 func TestJSONLogMigratesForward(t *testing.T) {
 	dir := t.TempDir()
 	payload := resultPayload(t, 1)
@@ -154,15 +171,15 @@ func TestJSONLogMigratesForward(t *testing.T) {
 			jobs[0].Results[0].Result, payload)
 	}
 	st := s.Stats()
-	if st.Codec != CodecBinary {
-		t.Fatalf("codec after migration = %q, want binary", st.Codec)
+	if raw, err := os.ReadFile(filepath.Join(dir, WALName)); err != nil || !bytes.Equal(raw, walMagic[:]) {
+		t.Fatalf("log after migrating Open is not an empty binary log (err=%v, %q)", err, raw)
 	}
 	if st.Compactions == 0 {
 		t.Fatal("Open did not compact the JSON log forward")
 	}
-	// New appends land in the binary codec.
+	// New appends land in the binary log.
 	appendResult(t, s, "job-000002", 0)
-	if st = s.Stats(); st.AppendsBinary != 1 || st.AppendsJSON != 0 {
+	if st = s.Stats(); st.Appends != 1 {
 		t.Fatalf("append accounting after migration = %+v", st)
 	}
 	s.Close()
@@ -194,17 +211,23 @@ func TestJSONLogMigratesForward(t *testing.T) {
 // corruption bug: a short write used to leave a torn partial record that
 // the next successful append concatenated onto, making the log
 // unreplayable. Now the partial write is truncated back immediately, so
-// recovery + append + restart replays with zero dropped records.
+// recovery + append + restart replays with zero dropped records. The json
+// case runs on a store whose first Open migrated a JSON-era log (a state
+// record, so job replay is unchanged) to binary.
 func TestTornTailShortWriteRecovery(t *testing.T) {
-	for _, codec := range []string{CodecBinary, CodecJSON} {
+	for _, codec := range []string{"binary", "json"} {
 		t.Run(codec, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(dir, Options{Codec: codec})
+			if codec == "json" {
+				writeLegacyLog(t, dir, StateRecord{Type: recState, Name: "analytics", Payload: json.RawMessage(`{}`)})
+			}
+			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			appendJob(t, s, "job-000001", "sweep")
 			sizeBefore := s.Stats().Bytes
+			logBefore := fileSize(t, filepath.Join(dir, WALName))
 
 			// The disk completes half the record's write, then errors.
 			if err := fault.Configure(FaultWrite+"=1*err(short)", 1); err != nil {
@@ -223,12 +246,8 @@ func TestTornTailShortWriteRecovery(t *testing.T) {
 			if st := s.Stats(); st.Bytes != sizeBefore {
 				t.Fatalf("Stats.Bytes counted a failed append: %d, want %d", st.Bytes, sizeBefore)
 			}
-			fi, err := os.Stat(filepath.Join(dir, WALName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi.Size() != sizeBefore {
-				t.Fatalf("torn tail left on disk: log is %d bytes, want %d", fi.Size(), sizeBefore)
+			if n := fileSize(t, filepath.Join(dir, WALName)); n != logBefore {
+				t.Fatalf("torn tail left on disk: log is %d bytes, want %d", n, logBefore)
 			}
 
 			// Durability recovers, the append succeeds, and the raw log —
@@ -256,7 +275,7 @@ func TestTornTailShortWriteRecovery(t *testing.T) {
 
 			// And the restart path agrees: Open replays without drops.
 			s.Close()
-			s2, err := Open(dir, Options{Codec: codec})
+			s2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatalf("Open after recovery: %v", err)
 			}
@@ -269,6 +288,15 @@ func TestTornTailShortWriteRecovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // TestSnapshotDeltaReplay: after a compaction, state lives in the

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fault"
@@ -87,5 +90,66 @@ func TestFaultCountedBurst(t *testing.T) {
 	}
 	if n := fault.Fires(FaultWrite); n != 2 {
 		t.Fatalf("fires = %d, want 2", n)
+	}
+}
+
+// TestCompactDirSyncFailureKeepsLog is the regression test for the
+// compaction ordering bug: the log used to be truncated right after the
+// snapshot rename, with no directory fsync in between, so a power cut
+// could keep the truncate and lose the rename. Now a failed directory
+// fsync aborts the compaction before the truncate: the log keeps every
+// record, and a reopen (after a crash, no Close) recovers them all.
+func TestCompactDirSyncFailureKeepsLog(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendJob(t, s, "job-000001", "sweep")
+	appendResult(t, s, "job-000001", 0)
+	appendResult(t, s, "job-000001", 1)
+	if err := s.AppendDone(DoneRecord{JobID: "job-000001", State: "done"}); err != nil {
+		t.Fatal(err)
+	}
+	appendJob(t, s, "job-000002", "run")
+	logPath := filepath.Join(dir, WALName)
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := fault.Configure(FaultDirSync+"=err(io error)", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
+	if err := s.Compact(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Compact under a failing directory fsync = %v, want ErrInjected", err)
+	}
+	fault.Disable()
+	after, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("log changed by a compaction that failed its directory fsync: %d bytes, want %d", len(after), len(before))
+	}
+	if _, records, dropped, err := Replay(bytes.NewReader(after)); err != nil || records != 5 || dropped != 0 {
+		t.Fatalf("log after failed compaction: records=%d dropped=%d err=%v, want 5/0", records, dropped, err)
+	}
+
+	// Crash: drop the handle without Close's final compaction.
+	s.mu.Lock()
+	s.f.Close()
+	s.f = nil
+	s.mu.Unlock()
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open after failed compaction: %v", err)
+	}
+	defer s2.Close()
+	jobs := s2.Replayed()
+	if len(jobs) != 2 || len(jobs[0].Results) != 2 || jobs[0].State != "done" || jobs[1].Job.Kind != "run" {
+		t.Fatalf("reopen after failed compaction = %+v", jobs)
 	}
 }

@@ -9,3 +9,8 @@ import "os"
 // O_APPEND single-line writes keep concurrent appends from interleaving
 // mid-record).
 func flockExclusive(*os.File) error { return nil }
+
+// fsyncDir is a no-op where directories cannot be fsynced (Windows
+// refuses the call); renames there are as durable as the platform makes
+// them.
+func fsyncDir(*os.File) error { return nil }

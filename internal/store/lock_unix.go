@@ -20,3 +20,6 @@ func flockExclusive(f *os.File) error {
 	}
 	return nil
 }
+
+// fsyncDir flushes a directory's entries (a completed rename) to disk.
+func fsyncDir(d *os.File) error { return d.Sync() }

@@ -2,27 +2,37 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// TestStateRoundTrip: PutState survives a close/reopen in both codecs,
-// last writer wins, and the value rides the compaction snapshot.
+// TestStateRoundTrip: state survives a close/reopen whether it was
+// written by PutState or read from a JSON-era log, last writer wins, and
+// the value rides the compaction snapshot.
 func TestStateRoundTrip(t *testing.T) {
-	for _, codec := range []string{CodecBinary, CodecJSON} {
+	puts := []StateRecord{
+		{Type: recState, Name: "analytics", Payload: json.RawMessage(`{"v":1}`)},
+		{Type: recState, Name: "analytics", Payload: json.RawMessage(`{"v":2}`)},
+		{Type: recState, Name: "other", Payload: json.RawMessage(`"x"`)},
+	}
+	for _, codec := range []string{"binary", "json"} {
 		t.Run(codec, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(dir, Options{Codec: codec})
+			if codec == "json" {
+				writeLegacyLog(t, dir, puts[0], puts[1], puts[2])
+			}
+			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.PutState("analytics", []byte(`{"v":1}`)); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutState("analytics", []byte(`{"v":2}`)); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutState("other", []byte(`"x"`)); err != nil {
-				t.Fatal(err)
+			if codec == "binary" {
+				for _, p := range puts {
+					if err := s.PutState(p.Name, p.Payload); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			if got, ok := s.State("analytics"); !ok || !bytes.Equal(got, []byte(`{"v":2}`)) {
 				t.Fatalf("State before close = %q, %v", got, ok)
@@ -32,7 +42,7 @@ func TestStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, err := Open(dir, Options{Codec: codec})
+			s2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,21 +63,12 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateCrossCodecMigration: a state written in one codec survives the
-// compaction that migrates the log to the other.
+// TestStateCrossCodecMigration: a state read from a JSON-era log survives
+// the compaction that migrates the log to binary.
 func TestStateCrossCodecMigration(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Codec: CodecJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutState("analytics", []byte(`{"cells":[]}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Options{Codec: CodecBinary}) // migrates at Open
+	writeLegacyLog(t, dir, StateRecord{Type: recState, Name: "analytics", Payload: json.RawMessage(`{"cells":[]}`)})
+	s2, err := Open(dir, Options{}) // migrates at Open
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +76,8 @@ func TestStateCrossCodecMigration(t *testing.T) {
 	if got, ok := s2.State("analytics"); !ok || !bytes.Equal(got, []byte(`{"cells":[]}`)) {
 		t.Fatalf("state lost across codec migration: %q, %v", got, ok)
 	}
-	if s2.Stats().Codec != CodecBinary {
-		t.Fatalf("codec after migration = %q", s2.Stats().Codec)
+	if raw, err := os.ReadFile(filepath.Join(dir, SnapName)); err != nil || !bytes.HasPrefix(raw, walMagic[:]) {
+		t.Fatalf("snapshot after migration is not binary (err=%v)", err)
 	}
 }
 

@@ -3,25 +3,26 @@
 // compaction) that lets the daemon survive a restart without dropping
 // queued jobs or re-burning completed simulation work.
 //
-// # Log formats
+// # Log format
 //
-// The store speaks two record codecs, selected per-file by sniffing the
-// first bytes at replay time, so any mix of files from any daemon version
-// reads back correctly:
+// Every log and snapshot file the store writes is binary: an 8-byte
+// magic+version header, then length-prefixed frames — uvarint payload
+// length, the payload (kind byte, flags byte, length-prefixed fields,
+// flate-compressed when it pays), and a CRC32 of the payload. Length+CRC
+// framing makes torn tails and partial appends detectable by construction.
 //
-//   - binary (the default): the file opens with an 8-byte magic+version
-//     header, then length-prefixed frames — uvarint payload length, the
-//     payload (kind byte, flags byte, length-prefixed fields, flate-
-//     compressed when it pays), and a CRC32 of the payload. Length+CRC
-//     framing makes torn tails and partial appends detectable by
-//     construction.
+// Logs written before the binary format existed are headerless
+// newline-delimited JSON records:
 //
-//   - json (debug/compat): headerless newline-delimited JSON records,
-//     the format of every log written before the binary codec existed:
+//	{"type":"job","id":"job-000001","kind":"sweep","created":...,"specs":[...]}
+//	{"type":"result","job":"job-000001","index":0,"key":"<rescq.CacheKey>","result":{...}}
+//	{"type":"done","job":"job-000001","state":"done"}
 //
-//     {"type":"job","id":"job-000001","kind":"sweep","created":...,"specs":[...]}
-//     {"type":"result","job":"job-000001","index":0,"key":"<rescq.CacheKey>","result":{...}}
-//     {"type":"done","job":"job-000001","state":"done"}
+// The store still reads them (the format is sniffed per file from its
+// first bytes) but never writes them: the first Open of a JSON-era store
+// directory migrates it to binary through compaction. Dump renders a store
+// back into this JSON-lines form for inspection (cmd/rescq-wal dump), and
+// its output replays like any JSON-era log.
 //
 // The store is deliberately ignorant of the payload shapes: specs and
 // results travel as opaque bytes, so the service layer owns the schema
@@ -36,7 +37,7 @@
 // on the log, so a second process on the same directory fails fast with
 // ErrLocked instead of interleaving writes; the kernel releases the lock
 // on any process death. Every record is written with a single O_APPEND
-// Write call of one complete frame or line, so a crash (SIGKILL included)
+// Write call of one complete frame, so a crash (SIGKILL included)
 // can only ever truncate the final record; a short or failed write is
 // truncated back off the log immediately so a recovered disk appends onto
 // a clean tail, never onto torn garbage.
@@ -50,20 +51,24 @@
 //
 // The in-memory index mirrors the on-disk state: jobs, their results,
 // terminal states. Compact writes the index into a snapshot file
-// (atomically renamed over the previous one), then truncates the log in
-// place, so replay cost is bounded by live state: Open reads the snapshot
-// and the log delta, and the log holds only records appended since the
-// last compaction. Compaction always emits the configured codec, which is
-// how an old JSON log migrates forward on its first binary-default Open.
-// Open compacts automatically when the replayed state carries enough
-// garbage to matter (or is in the wrong codec), and Append* triggers an
-// inline compaction when the records since the last one exceed a
-// threshold.
+// (fsynced, atomically renamed over the previous one, and the rename made
+// durable by fsyncing the directory), then truncates the log in place, so
+// replay cost is bounded by live state: Open reads the snapshot and the
+// log delta, and the log holds only records appended since the last
+// compaction. Open compacts automatically when the replayed state carries
+// enough garbage to matter or was read from JSON-era files, and Append*
+// triggers an inline compaction when the records since the last one
+// exceed a threshold.
+//
+// Appends reach the kernel, not the disk: they survive a process crash,
+// and Sync (taken on graceful drain) makes them survive an OS crash.
+// Between syncs, a power cut can lose the most recent appends.
 package store
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,7 +82,7 @@ import (
 	"repro/internal/fault"
 )
 
-// Record types, the "type" field of every JSON log line (binary frames
+// Record types, the "type" field of every JSON-era log line (binary frames
 // carry the equivalent kind byte).
 const (
 	recJob    = "job"
@@ -97,6 +102,9 @@ const (
 	FaultWrite = "wal.write"
 	// FaultSync fires in Sync, the OS-crash checkpoint on graceful drain.
 	FaultSync = "wal.sync"
+	// FaultDirSync fires in compaction's directory fsync, between the
+	// snapshot rename and the log truncate.
+	FaultDirSync = "wal.dirsync"
 )
 
 // JobRecord persists one submitted job: its identity and its fully
@@ -136,7 +144,7 @@ type DoneRecord struct {
 // — e.g. the analytics aggregate snapshot. Last writer wins per name, the
 // current value is carried through every compaction, and replay surfaces
 // it via State; it is invisible to job replay. The payload must be valid
-// JSON (the JSON codec embeds it verbatim).
+// JSON (the JSON-lines format Dump writes embeds it verbatim).
 //
 // Note for downgrades: daemons older than this record kind treat unknown
 // record types as corruption, so a log that carries state records does
@@ -167,21 +175,18 @@ func (r *ReplayedJob) Terminal() bool { return r.State != "" }
 // cover the snapshot plus the log delta — the full on-disk state a replay
 // reads.
 type Stats struct {
-	Jobs        int    `json:"jobs"`         // jobs in the index
-	Records     int    `json:"records"`      // records on disk (snapshot + log)
-	Bytes       int64  `json:"bytes"`        // on-disk size (snapshot + log)
-	Compactions int64  `json:"compactions"`  // lifetime compaction count
-	TailDropped int    `json:"tail_dropped"` // partial/corrupt tail records discarded at Open
-	Codec       string `json:"codec"`        // the log's active append codec
+	Jobs        int   `json:"jobs"`         // jobs in the index
+	Records     int   `json:"records"`      // records on disk (snapshot + log)
+	Bytes       int64 `json:"bytes"`        // on-disk size (snapshot + log)
+	Compactions int64 `json:"compactions"`  // lifetime compaction count
+	TailDropped int   `json:"tail_dropped"` // partial/corrupt tail records discarded at Open
 
 	SnapshotRecords int   `json:"snapshot_records"` // records in the snapshot file
 	SnapshotBytes   int64 `json:"snapshot_bytes"`   // snapshot file size
 
-	// Per-codec append accounting since Open, for the /metrics counters.
-	AppendsBinary     int64 `json:"appends_binary"`
-	AppendsJSON       int64 `json:"appends_json"`
-	AppendBytesBinary int64 `json:"append_bytes_binary"`
-	AppendBytesJSON   int64 `json:"append_bytes_json"`
+	// Append accounting since Open, for the /metrics counters.
+	Appends     int64 `json:"appends"`
+	AppendBytes int64 `json:"append_bytes"`
 }
 
 // Options tunes a Store; the zero value is production-sensible.
@@ -193,11 +198,6 @@ type Options struct {
 	// CompactEvery triggers an inline compaction after this many appended
 	// records; 0 means the default 8192.
 	CompactEvery int
-	// Codec selects the append format: CodecBinary (the default) or
-	// CodecJSON (the debug/compat path). Replay always sniffs per file,
-	// so the knob only governs what new records look like; a log in the
-	// other codec is migrated at the first compaction.
-	Codec string
 }
 
 func (o Options) withDefaults() Options {
@@ -211,8 +211,8 @@ func (o Options) withDefaults() Options {
 }
 
 // WALName is the log's filename inside the store directory. (The name
-// predates the binary codec: a binary-codec log keeps it, and announces
-// itself with the magic header instead.)
+// predates the binary format: a binary log keeps it, and announces itself
+// with the magic header instead.)
 const WALName = "wal.jsonl"
 
 // SnapName is the compaction snapshot's filename inside the store
@@ -232,20 +232,16 @@ type Store struct {
 	order  []string          // job ids in first-seen order
 	states map[string][]byte // named auxiliary state blobs, last writer wins
 
-	codec       string // the log's active append codec
-	records     int    // records currently in the log file (including garbage)
-	sinceComp   int    // records appended since the last compaction
-	bytes       int64  // log file size
-	snapRecords int    // records in the snapshot file
-	snapBytes   int64  // snapshot file size
-	torn        bool   // a failed append left a tail we could not truncate yet
+	records     int   // records currently in the log file (including garbage)
+	sinceComp   int   // records appended since the last compaction
+	bytes       int64 // log file size
+	snapRecords int   // records in the snapshot file
+	snapBytes   int64 // snapshot file size
+	torn        bool  // a failed append left a tail we could not truncate yet
 	compactions int64
 	tailDropped int
-
-	appendsBinary     int64
-	appendsJSON       int64
-	appendBytesBinary int64
-	appendBytesJSON   int64
+	appends     int64
+	appendBytes int64
 
 	replayed []ReplayedJob // snapshot taken at Open, in log order
 }
@@ -254,14 +250,10 @@ type Store struct {
 // snapshot plus the log delta. A partial or corrupt tail record in the
 // log — the signature of a crash mid-append — is discarded; everything
 // before it is recovered. The snapshot is written atomically, so any
-// damage there is fatal rather than tolerated.
+// damage there is fatal rather than tolerated. JSON-era files replay
+// like binary ones and are rewritten as binary before Open returns.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	codec, err := normalizeCodec(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
-	opts.Codec = codec
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -284,9 +276,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	// Snapshot first, then the log delta, merged into one replay state.
 	st := newReplayState()
 	snapPath := filepath.Join(dir, SnapName)
-	snapCodec := ""
+	legacySnap := false
 	if sf, serr := os.Open(snapPath); serr == nil {
-		snapCodec, serr = replayStream(st, sf)
+		legacySnap, serr = replayStream(st, sf)
 		sf.Close()
 		if serr == nil && st.dropped > 0 {
 			serr = fmt.Errorf("%d torn records in an atomically-written file", st.dropped)
@@ -303,7 +295,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: %w", serr)
 	}
-	logCodec, err := replayStream(st, f)
+	legacyLog, err := replayStream(st, f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: replay %s: %w", path, err)
@@ -322,25 +314,21 @@ func Open(dir string, opts Options) (*Store, error) {
 	if fi, err := f.Stat(); err == nil {
 		s.bytes = fi.Size()
 	}
-	s.codec = logCodec
-	if s.codec == "" {
-		// Empty log: adopt the configured codec and stamp the header.
-		s.codec = opts.Codec
-		if s.codec == CodecBinary && s.bytes == 0 {
-			n, werr := f.Write(walMagic[:])
-			if werr != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: write log header: %w", werr)
-			}
-			s.bytes = int64(n)
+	if s.bytes == 0 {
+		// Fresh log: stamp the header.
+		n, werr := f.Write(walMagic[:])
+		if werr != nil {
+			f.Close()
+			return nil, fmt.Errorf("store: write log header: %w", werr)
 		}
+		s.bytes = int64(n)
 	}
 	// A freshly replayed state that carries garbage (dropped tail,
-	// evictable jobs, duplicate records) or files in the wrong codec is
+	// evictable jobs, duplicate records) or came from JSON-era files is
 	// compacted right away, so a crash-loop cannot grow the files without
-	// bound and a JSON-era log migrates forward on its first Open.
+	// bound and a JSON-era store migrates to binary on its first Open.
 	if s.tailDropped > 0 || len(s.order) > opts.RetainJobs || st.records > s.liveRecords() ||
-		s.codec != opts.Codec || (snapCodec != "" && snapCodec != opts.Codec) {
+		legacyLog || legacySnap {
 		if err := s.compactLocked(); err != nil {
 			f.Close()
 			return nil, err
@@ -361,18 +349,15 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Jobs:              len(s.jobs),
-		Records:           s.snapRecords + s.records,
-		Bytes:             s.snapBytes + s.bytes,
-		Compactions:       s.compactions,
-		TailDropped:       s.tailDropped,
-		Codec:             s.codec,
-		SnapshotRecords:   s.snapRecords,
-		SnapshotBytes:     s.snapBytes,
-		AppendsBinary:     s.appendsBinary,
-		AppendsJSON:       s.appendsJSON,
-		AppendBytesBinary: s.appendBytesBinary,
-		AppendBytesJSON:   s.appendBytesJSON,
+		Jobs:            len(s.jobs),
+		Records:         s.snapRecords + s.records,
+		Bytes:           s.snapBytes + s.bytes,
+		Compactions:     s.compactions,
+		TailDropped:     s.tailDropped,
+		SnapshotRecords: s.snapRecords,
+		SnapshotBytes:   s.snapBytes,
+		Appends:         s.appends,
+		AppendBytes:     s.appendBytes,
 	}
 }
 
@@ -502,7 +487,7 @@ func (s *Store) rollbackTailLocked() {
 }
 
 func (s *Store) writeLocked(v any) error {
-	frame, err := encodeRecord(s.codec, v)
+	frame, err := encodeBinaryRecord(v)
 	if err != nil {
 		return err
 	}
@@ -542,13 +527,8 @@ func (s *Store) writeLocked(v any) error {
 	s.bytes += int64(n)
 	s.records++
 	s.sinceComp++
-	if s.codec == CodecJSON {
-		s.appendsJSON++
-		s.appendBytesJSON += int64(n)
-	} else {
-		s.appendsBinary++
-		s.appendBytesBinary += int64(n)
-	}
+	s.appends++
+	s.appendBytes += int64(n)
 	return nil
 }
 
@@ -573,7 +553,8 @@ func (s *Store) maybeCompactLocked() error {
 
 // Compact writes the in-memory index into the snapshot file (evicting
 // terminal jobs beyond the retention bound), atomically replaces the
-// previous snapshot, and truncates the log in place.
+// previous snapshot, fsyncs the directory so the replacement is durable,
+// and only then truncates the log in place.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -604,8 +585,8 @@ func (s *Store) compactLocked() error {
 		s.order = kept
 	}
 
-	// Write the full live state into a fresh snapshot, in the configured
-	// codec — this is also where a log in the old codec migrates forward.
+	// Write the full live state into a fresh snapshot — this is also where
+	// a JSON-era store migrates to binary.
 	dir := filepath.Dir(s.path)
 	tmp, err := os.CreateTemp(dir, SnapName+".tmp-*")
 	if err != nil {
@@ -613,12 +594,10 @@ func (s *Store) compactLocked() error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after the successful rename
 	w := bufio.NewWriter(tmp)
-	if s.opts.Codec == CodecBinary {
-		w.Write(walMagic[:])
-	}
+	w.Write(walMagic[:])
 	records := 0
 	emit := func(v any) bool {
-		frame, err := encodeRecord(s.opts.Codec, v)
+		frame, err := encodeBinaryRecord(v)
 		if err != nil {
 			return false
 		}
@@ -673,6 +652,12 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	tmp.Close()
+	// The rename lives in the directory entry, not in either file: without
+	// this fsync a power cut could keep the truncate below but lose the
+	// rename, leaving the old snapshot next to an empty log.
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("store: compact: sync dir: %w", err)
+	}
 
 	// The snapshot now holds everything: empty the log in place. The fd,
 	// its flock and the O_APPEND mode all stay — a crash between the
@@ -682,17 +667,14 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: compact: truncate log: %w", err)
 	}
 	s.bytes = 0
-	s.codec = s.opts.Codec
-	if s.codec == CodecBinary {
-		n, werr := s.f.Write(walMagic[:])
-		if werr != nil || n != len(walMagic) {
-			if werr == nil {
-				werr = io.ErrShortWrite
-			}
-			return fmt.Errorf("store: compact: write log header: %w", werr)
+	n, werr := s.f.Write(walMagic[:])
+	if werr != nil || n != len(walMagic) {
+		if werr == nil {
+			werr = io.ErrShortWrite
 		}
-		s.bytes = int64(n)
+		return fmt.Errorf("store: compact: write log header: %w", werr)
 	}
+	s.bytes = int64(n)
 	s.records = 0
 	s.sinceComp = 0
 	s.snapRecords = records
@@ -700,6 +682,19 @@ func (s *Store) compactLocked() error {
 	s.compactions++
 	s.torn = false
 	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	if err := fault.Check(FaultDirSync); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return fsyncDir(d)
 }
 
 // Sync flushes the log to stable storage (fsync). Appends themselves only
@@ -763,6 +758,8 @@ type replayState struct {
 	states  map[string][]byte
 	records int
 	dropped int
+	// visit, when set, sees every valid record in stream order (Dump).
+	visit func(rec any)
 }
 
 func newReplayState() *replayState {
@@ -780,7 +777,7 @@ func (st *replayState) get(id string) *ReplayedJob {
 }
 
 // apply merges one decoded record into the state, enforcing the replay
-// semantics shared by both codecs: results and done markers arriving
+// semantics shared by both formats: results and done markers arriving
 // before their job record are buffered under a synthetic job, duplicate
 // and out-of-order result indices are dropped, and the first job record /
 // done marker for an id wins. An error means the record is invalid
@@ -831,6 +828,9 @@ func (st *replayState) apply(rec any) error {
 		return fmt.Errorf("unknown record %T", rec)
 	}
 	st.records++
+	if st.visit != nil {
+		st.visit(rec)
+	}
 	return nil
 }
 
@@ -844,25 +844,30 @@ func (st *replayState) sorted() []ReplayedJob {
 	return out
 }
 
-// replayStream sniffs the stream's codec and replays it into st,
-// reporting which codec it found ("" for an empty stream).
-func replayStream(st *replayState, r io.Reader) (string, error) {
+// replayStream sniffs the stream's format from its opening bytes and
+// replays it into st, reporting whether it was a JSON-era stream. The
+// binary magic selects the binary replayer (consuming the header), an
+// empty stream replays nothing, an unknown binary version is refused
+// outright, and anything else is read as JSON lines.
+func replayStream(st *replayState, r io.Reader) (legacy bool, err error) {
 	br := bufio.NewReaderSize(r, 64*1024)
-	codec, err := sniffCodec(br)
-	if err != nil {
-		return "", err
+	hdr, err := br.Peek(len(walMagic))
+	switch {
+	case len(hdr) == 0:
+		if err == io.EOF {
+			err = nil
+		}
+		return false, err
+	case bytes.Equal(hdr, walMagic[:]):
+		br.Discard(len(walMagic))
+		return false, replayBinary(st, br)
+	case len(hdr) >= 7 && bytes.Equal(hdr[:6], walMagic[:6]) && hdr[6] != binVersion:
+		return false, fmt.Errorf("store: unsupported binary log version %d (this build reads version %d)", hdr[6], binVersion)
 	}
-	switch codec {
-	case "":
-		return "", nil
-	case CodecBinary:
-		return codec, replayBinary(st, br)
-	default:
-		return codec, replayJSON(st, br)
-	}
+	return true, replayJSON(st, br)
 }
 
-// replayJSON replays a newline-delimited JSON log. Garbage is tolerated
+// replayJSON replays a JSON-era newline-delimited log. Garbage is tolerated
 // only as the final (torn) tail: a complete record following it proves
 // mid-log corruption and fails the replay.
 func replayJSON(st *replayState, r *bufio.Reader) error {
@@ -963,10 +968,10 @@ func replayBinary(st *replayState, br *bufio.Reader) error {
 	}
 }
 
-// Replay reconstructs jobs from a log stream in either codec (sniffed
-// from the leading bytes). It returns the jobs in id order, the number of
-// complete records read, and the number of partial/corrupt records
-// discarded at the tail. Replay is tolerant of the crash signature (a
+// Replay reconstructs jobs from one log or snapshot stream, binary or
+// JSON-era (sniffed from the leading bytes). It returns the jobs in id
+// order, the number of complete records read, and the number of
+// partial/corrupt records discarded at the tail. Replay is tolerant of the crash signature (a
 // torn final record) and of record interleavings: results and done
 // markers arriving before their job record are buffered and merged,
 // duplicate and out-of-order result indices are dropped, and a second job
@@ -979,6 +984,43 @@ func Replay(r io.Reader) ([]ReplayedJob, int, int, error) {
 		return nil, st.records, st.dropped, err
 	}
 	return st.sorted(), st.records, st.dropped, nil
+}
+
+// Dump writes the store in dir — the snapshot, then the log — as JSON
+// lines in the JSON-era record format, one line per record in file order
+// (duplicates and superseded state included), which Replay and Open still
+// read. A torn log tail is skipped exactly as replay skips it. Dump takes
+// no lock, so it can inspect the store of a running daemon — but a
+// compaction that lands between reading the two files can hide the
+// records it moved, so only a stopped daemon's store dumps exactly.
+func Dump(dir string, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	var encErr error
+	st := newReplayState()
+	st.visit = func(rec any) {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			encErr = cmp.Or(encErr, err)
+			return
+		}
+		bw.Write(line)
+		bw.WriteByte('\n')
+	}
+	for _, name := range []string{SnapName, WALName} {
+		f, err := os.Open(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) && name == SnapName {
+			continue // never compacted
+		}
+		if err != nil {
+			return fmt.Errorf("store: dump: %w", err)
+		}
+		_, err = replayStream(st, f)
+		f.Close()
+		if err = cmp.Or(err, encErr); err != nil {
+			return fmt.Errorf("store: dump %s: %w", name, err)
+		}
+	}
+	return bw.Flush()
 }
 
 // JobIDLess orders job ids for replay and listings: ids sharing a prefix

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// TestJobRecordTenantRoundTrip: a tagged job record survives both codecs
-// with its tenant intact.
+// TestJobRecordTenantRoundTrip: a tagged job record survives the binary
+// format, and replays from a JSON-era line, with its tenant intact.
 func TestJobRecordTenantRoundTrip(t *testing.T) {
 	rec := JobRecord{Type: recJob, ID: "job-000001", Kind: "sweep",
 		Created: time.Unix(1700000000, 123).UTC(),
@@ -19,16 +19,12 @@ func TestJobRecordTenantRoundTrip(t *testing.T) {
 		Tenant:  "alice"}
 
 	t.Run("json", func(t *testing.T) {
-		frame, err := encodeRecord(CodecJSON, rec)
-		if err != nil {
-			t.Fatal(err)
+		jobs, _, _, err := Replay(bytes.NewReader(legacyLine(t, rec)))
+		if err != nil || len(jobs) != 1 {
+			t.Fatalf("replay: jobs=%d err=%v", len(jobs), err)
 		}
-		var got JobRecord
-		if err := json.Unmarshal(frame, &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Tenant != "alice" {
-			t.Fatalf("json round-trip tenant = %q, want alice", got.Tenant)
+		if got := jobs[0].Job.Tenant; got != "alice" {
+			t.Fatalf("json round-trip tenant = %q, want alice", got)
 		}
 	})
 
@@ -52,18 +48,16 @@ func TestJobRecordTenantRoundTrip(t *testing.T) {
 }
 
 // TestUntaggedJobRecordUnchanged pins backward compatibility in both
-// directions: a record without a tenant encodes exactly as the pre-tenancy
-// codecs did (no tenant key, no fifth blob), and pre-tenancy bytes decode
-// to Tenant "" (which the service maps to the default tenant on replay).
+// directions: a record without a tenant encodes exactly as pre-tenancy
+// records did (no tenant key in its JSON line, no fifth blob), and
+// pre-tenancy bytes decode to Tenant "" (which the service maps to the
+// default tenant on replay).
 func TestUntaggedJobRecordUnchanged(t *testing.T) {
 	rec := JobRecord{Type: recJob, ID: "job-000007", Kind: "run",
 		Created: time.Unix(1700000000, 0).UTC(),
 		Specs:   json.RawMessage(`[{"benchmark":"qft_n18"}]`)}
 
-	jsonFrame, err := encodeRecord(CodecJSON, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jsonFrame := legacyLine(t, rec)
 	if strings.Contains(string(jsonFrame), "tenant") {
 		t.Fatalf("untagged JSON record leaks a tenant key: %s", jsonFrame)
 	}
@@ -95,8 +89,8 @@ func TestUntaggedJobRecordUnchanged(t *testing.T) {
 }
 
 // TestReplayMixedTenantRecords: one log holding pre-tenancy (untagged) and
-// tenant-tagged job records replays both, preserving each job's tag, on
-// both codecs.
+// tenant-tagged job records replays both, preserving each job's tag, in
+// both formats.
 func TestReplayMixedTenantRecords(t *testing.T) {
 	records := []any{
 		JobRecord{Type: recJob, ID: "job-000001", Kind: "sweep",
@@ -107,14 +101,18 @@ func TestReplayMixedTenantRecords(t *testing.T) {
 		JobRecord{Type: recJob, ID: "job-000002", Kind: "run", Tenant: "alice",
 			Specs: json.RawMessage(`[{"benchmark":"qft_n18"}]`)},
 	}
-	for _, codec := range []string{CodecJSON, CodecBinary} {
+	for _, codec := range []string{"json", "binary"} {
 		t.Run(codec, func(t *testing.T) {
 			var buf bytes.Buffer
-			if codec == CodecBinary {
+			if codec == "binary" {
 				buf.Write(walMagic[:])
 			}
 			for _, rec := range records {
-				frame, err := encodeRecord(codec, rec)
+				if codec == "json" {
+					buf.Write(legacyLine(t, rec))
+					continue
+				}
+				frame, err := encodeBinaryRecord(rec)
 				if err != nil {
 					t.Fatal(err)
 				}
