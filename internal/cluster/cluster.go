@@ -35,7 +35,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/url"
+	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Internal endpoint paths, mounted by the rescqd handler in the matching
@@ -75,6 +79,43 @@ type RegisterRequest struct {
 	// Released) once its in-flight count reaches zero. omitempty keeps
 	// non-draining heartbeats decodable by pre-drain coordinators.
 	Draining bool `json:"draining,omitempty"`
+}
+
+// maxWorkerIDLen bounds a worker id in bytes.
+const maxWorkerIDLen = 256
+
+// Validate checks the identity a worker reports about itself, which the
+// coordinator echoes into /healthz, /metrics labels and logs: the id must
+// be 1 to 256 bytes of valid UTF-8 with no control characters, and the URL
+// an absolute http(s) URL with a host.
+func (r RegisterRequest) Validate() error {
+	switch {
+	case r.ID == "":
+		return errors.New("register: empty worker id")
+	case len(r.ID) > maxWorkerIDLen:
+		return fmt.Errorf("register: worker id is %d bytes, max %d", len(r.ID), maxWorkerIDLen)
+	case !utf8.ValidString(r.ID):
+		return fmt.Errorf("register: worker id %q is not valid UTF-8", r.ID)
+	case strings.ContainsFunc(r.ID, unicode.IsControl):
+		return fmt.Errorf("register: worker id %q contains a control character", r.ID)
+	}
+	return PeerURL("register url", r.URL)
+}
+
+// PeerURL validates a cluster peer URL: absolute http(s) with a host.
+// field names the URL's role in the error.
+func PeerURL(field, raw string) error {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return fmt.Errorf("%s %q: %w", field, raw, err)
+	}
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return fmt.Errorf("%s %q must be an absolute http(s) URL", field, raw)
+	}
+	if u.Host == "" {
+		return fmt.Errorf("%s %q has no host", field, raw)
+	}
+	return nil
 }
 
 // RegisterResponse acknowledges a registration/heartbeat.

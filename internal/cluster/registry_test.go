@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -490,5 +491,33 @@ func TestDrainAbortedByFreshHeartbeat(t *testing.T) {
 	}
 	if slots, free := r.Capacity(); slots != 1 || free != 0 {
 		t.Fatalf("Capacity = (%d, %d) after aborted drain with one lease out, want (1, 0)", slots, free)
+	}
+}
+
+func TestRegisterRequestValidate(t *testing.T) {
+	ok := RegisterRequest{ID: "w1", URL: "http://127.0.0.1:8321"}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid request rejected: %v", err)
+	}
+	long := strings.Repeat("w", 256)
+	if err := (RegisterRequest{ID: long, URL: "https://w.example"}).Validate(); err != nil {
+		t.Fatalf("256-byte id rejected: %v", err)
+	}
+	for _, bad := range []RegisterRequest{
+		{ID: "", URL: ok.URL},
+		{ID: long + "w", URL: ok.URL},
+		{ID: "w\xff", URL: ok.URL},
+		{ID: "w\t1", URL: ok.URL},
+		{ID: "w\x01", URL: ok.URL},
+		{ID: "w\u0085", URL: ok.URL},
+		{ID: "w1", URL: ""},
+		{ID: "w1", URL: "not a url"},
+		{ID: "w1", URL: "127.0.0.1:8321"},
+		{ID: "w1", URL: "ftp://127.0.0.1:8321"},
+		{ID: "w1", URL: "http://"},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted id=%q url=%q", bad.ID, bad.URL)
+		}
 	}
 }

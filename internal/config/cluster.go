@@ -2,7 +2,6 @@ package config
 
 import (
 	"fmt"
-	"net/url"
 	"time"
 
 	"repro/internal/cluster"
@@ -166,21 +165,6 @@ func (c Cluster) BreakerCooldown() time.Duration {
 	return time.Duration(c.BreakerCooldownMS) * time.Millisecond
 }
 
-// peerURL validates a cluster peer URL: absolute http(s) with a host.
-func peerURL(field, raw string) error {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return fmt.Errorf("config: %s %q: %w", field, raw, err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return fmt.Errorf("config: %s %q must be an absolute http(s) URL", field, raw)
-	}
-	if u.Host == "" {
-		return fmt.Errorf("config: %s %q has no host", field, raw)
-	}
-	return nil
-}
-
 // Validate reports cluster configuration errors.
 func (c Cluster) Validate() error {
 	switch c.Mode {
@@ -206,12 +190,12 @@ func (c Cluster) Validate() error {
 		if c.CoordinatorURL == "" {
 			return fmt.Errorf("config: worker mode requires coordinator_url")
 		}
-		if err := peerURL("coordinator_url", c.CoordinatorURL); err != nil {
-			return err
+		if err := cluster.PeerURL("coordinator_url", c.CoordinatorURL); err != nil {
+			return fmt.Errorf("config: %w", err)
 		}
 		if c.AdvertiseURL != "" {
-			if err := peerURL("advertise_url", c.AdvertiseURL); err != nil {
-				return err
+			if err := cluster.PeerURL("advertise_url", c.AdvertiseURL); err != nil {
+				return fmt.Errorf("config: %w", err)
 			}
 		}
 	default:

@@ -2,6 +2,11 @@
 // by the experiment harness: integer histograms (Figure 5), geometric
 // means (Figure 10's summary), normalization, and fixed-width ASCII tables
 // and series so every paper table/figure can be printed from a terminal.
+//
+// It also holds the rescqd daemon's metrics: Registry, where each /metrics
+// family is declared once (counters and gauges, optionally labeled, plus
+// scrape-time Func families) and rendered by WriteText in the Prometheus
+// text format; and ServiceStats, the daemon's counters declared into one.
 package metrics
 
 import (

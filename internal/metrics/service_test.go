@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -22,18 +22,18 @@ func TestServiceStatsCountersAndPercentiles(t *testing.T) {
 	}
 	s.ObserveLatency(-time.Second) // clock weirdness clamps to 0
 
-	snap := s.Snapshot()
-	if snap.JobsQueued != 3 || snap.JobsDone != 2 || snap.CacheHits != 1 {
-		t.Fatalf("snapshot = %+v", snap)
+	if s.JobsQueued.Load() != 3 || s.JobsDone.Load() != 2 || s.CacheHits.Load() != 1 {
+		t.Fatalf("counters queued=%d done=%d hits=%d", s.JobsQueued.Load(), s.JobsDone.Load(), s.CacheHits.Load())
 	}
-	if snap.LatencyCount != 101 {
-		t.Fatalf("latency count = %d, want 101", snap.LatencyCount)
+	n, p50, p99 := s.quantiles(s.latency)
+	if n != 101 {
+		t.Fatalf("latency count = %d, want 101", n)
 	}
-	if snap.LatencyP50ms < 49 || snap.LatencyP50ms > 51 {
-		t.Fatalf("p50 = %d, want ~50", snap.LatencyP50ms)
+	if p50 < 49 || p50 > 51 {
+		t.Fatalf("p50 = %d, want ~50", p50)
 	}
-	if snap.LatencyP99ms < 98 || snap.LatencyP99ms > 100 {
-		t.Fatalf("p99 = %d, want ~99", snap.LatencyP99ms)
+	if p99 < 98 || p99 > 100 {
+		t.Fatalf("p99 = %d, want ~99", p99)
 	}
 }
 
@@ -47,18 +47,27 @@ func TestServiceStatsConcurrent(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				s.JobsQueued.Add(1)
 				s.ObserveLatency(time.Millisecond)
-				s.Snapshot()
+				s.Registry().WriteText(io.Discard)
 			}
 		}()
 	}
 	wg.Wait()
-	snap := s.Snapshot()
-	if snap.JobsQueued != 800 || snap.LatencyCount != 800 {
-		t.Fatalf("snapshot after concurrent updates = %+v", snap)
+	if n, _, _ := s.quantiles(s.latency); s.JobsQueued.Load() != 800 || n != 800 {
+		t.Fatalf("after concurrent updates: queued=%d latency count=%d, want 800/800", s.JobsQueued.Load(), n)
 	}
 }
 
-func TestSnapshotRenderProm(t *testing.T) {
+// renderText is the stats' registry rendered as one /metrics page.
+func renderText(t *testing.T, s *ServiceStats) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := s.Registry().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+func TestServiceStatsWriteText(t *testing.T) {
 	s := NewServiceStats()
 	s.JobsDone.Add(5)
 	s.CacheHits.Add(2)
@@ -72,7 +81,7 @@ func TestSnapshotRenderProm(t *testing.T) {
 	s.HeartbeatsReceived.Add(9)
 	s.WorkerExpiries.Add(1)
 	s.ObserveLatency(40 * time.Millisecond)
-	text := s.Snapshot().RenderProm("rescqd")
+	text := renderText(t, s)
 	for _, want := range []string{
 		"rescqd_cluster_batches_dispatched_total 6",
 		"rescqd_cluster_batches_redispatched_total 2",
@@ -97,22 +106,21 @@ func TestSnapshotRenderProm(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSONCarriesDurabilityCounters: the JSON twin of the
-// Prometheus rendering exposes the replay/coalesce/shed counters too.
-func TestSnapshotJSONCarriesDurabilityCounters(t *testing.T) {
+// TestServiceStatsWriteTextDurabilityCounters: the replay, coalesce, shed
+// and cluster counters render even while zero.
+func TestServiceStatsWriteTextDurabilityCounters(t *testing.T) {
 	s := NewServiceStats()
 	s.JobsShed.Add(2)
 	s.Coalesced.Add(3)
 	s.ReplayedJobs.Add(1)
 	s.BatchesRedispatched.Add(4)
-	data, err := json.Marshal(s.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"jobs_shed":2`, `"coalesced":3`, `"replayed_jobs":1`, `"replayed_results":0`, `"store_errors":0`,
-		`"batches_dispatched":0`, `"batches_redispatched":4`, `"remote_configs":0`, `"heartbeats_received":0`, `"worker_expiries":0`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("snapshot JSON missing %s:\n%s", want, data)
+	text := renderText(t, s)
+	for _, want := range []string{"rescqd_jobs_shed_total 2", "rescqd_coalesced_total 3", "rescqd_replayed_jobs_total 1",
+		"rescqd_replayed_results_total 0", "rescqd_store_errors_total 0", "rescqd_cluster_batches_dispatched_total 0",
+		"rescqd_cluster_batches_redispatched_total 4", "rescqd_cluster_remote_configs_total 0",
+		"rescqd_cluster_heartbeats_total 0", "rescqd_cluster_worker_expiries_total 0"} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("rendered metrics missing %q:\n%s", want, text)
 		}
 	}
 }

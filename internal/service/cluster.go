@@ -85,17 +85,17 @@ func (s *Server) expirySweeper() {
 
 // handleRegister is the coordinator's membership endpoint: a worker's
 // first POST registers it, every subsequent POST is a heartbeat renewing
-// its liveness lease. A worker that cannot speak the binary wire (a build
-// from before it was the only one) is refused with a 400 naming what it
-// advertised, and never joins the registry.
+// its liveness lease. A malformed identity (see RegisterRequest.Validate)
+// or a worker that cannot speak the binary wire (a build from before it
+// was the only one) is refused with a 400, and never joins the registry.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req cluster.RegisterRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.ID == "" || req.URL == "" {
-		writeError(w, http.StatusBadRequest, errors.New("service: register needs id and url"))
+	if err := req.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: %w", err))
 		return
 	}
 	if !slices.Contains(req.Codecs, cluster.CodecBinary) {

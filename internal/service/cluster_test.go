@@ -511,6 +511,36 @@ func TestClusterLegacyWorkerRefused(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsMalformedIdentity: a register POST whose id or url is
+// malformed gets a 400, never joins the registry, and never reaches
+// /metrics as a worker label.
+func TestRegisterRejectsMalformedIdentity(t *testing.T) {
+	coord := startCoordinator(t, "")
+	for _, body := range []string{
+		`{"id":"w\t1\u0001","url":"not a url","capacity":1,"codecs":["binary"]}`,
+		`{"id":"w\t1\u0001","url":"http://127.0.0.1:1","capacity":1,"codecs":["binary"]}`,
+		`{"id":"w1","url":"not a url","capacity":1,"codecs":["binary"]}`,
+		`{"id":"w1","url":"ftp://127.0.0.1:1","capacity":1,"codecs":["binary"]}`,
+		`{"id":"","url":"http://127.0.0.1:1","capacity":1,"codecs":["binary"]}`,
+		`{"id":"` + strings.Repeat("w", 257) + `","url":"http://127.0.0.1:1","capacity":1,"codecs":["binary"]}`,
+	} {
+		resp, err := http.Post(coord.ts.URL+cluster.RegisterPath, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("register %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if ws, _ := coord.srv.ClusterWorkers(); len(ws) != 0 {
+		t.Fatalf("malformed registrations joined the registry: %+v", ws)
+	}
+	if page := scrape(t, coord.ts.URL); strings.Contains(page, "worker=") {
+		t.Fatalf("malformed worker reached /metrics:\n%s", page)
+	}
+}
+
 // TestWorkerExecuteCancelReturns503: when the coordinator hangs up
 // mid-batch, the worker must answer with an explicit 503, not the empty
 // 200 it used to write — a coordinator whose cancel came from a proxy

@@ -158,9 +158,9 @@ func TestRestartResumeAfterCrash(t *testing.T) {
 	if got := runnerB.calls.Load(); got != 2 {
 		t.Fatalf("restarted daemon ran the engine %d times, want 2 (configs 0-1 must come from the WAL)", got)
 	}
-	snap := b.Stats().Snapshot()
-	if snap.ReplayedJobs != 1 || snap.ReplayedResults != 2 {
-		t.Fatalf("replay counters = %d/%d, want 1/2", snap.ReplayedJobs, snap.ReplayedResults)
+	st := b.Stats()
+	if st.ReplayedJobs.Load() != 1 || st.ReplayedResults.Load() != 2 {
+		t.Fatalf("replay counters = %d/%d, want 1/2", st.ReplayedJobs.Load(), st.ReplayedResults.Load())
 	}
 
 	// --- Server C: the uninterrupted control run. ---
@@ -578,8 +578,8 @@ func TestAdmissionControl429(t *testing.T) {
 	if !strings.Contains(body.Error, "overloaded") {
 		t.Fatalf("shed error = %q", body.Error)
 	}
-	if snap := s.Stats().Snapshot(); snap.JobsShed != 1 {
-		t.Fatalf("shed counter = %d, want 1", snap.JobsShed)
+	if got := s.Stats().JobsShed.Load(); got != 1 {
+		t.Fatalf("shed counter = %d, want 1", got)
 	}
 
 	// A single-config submission still fits (backlog 2 == limit).

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -620,21 +621,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		ShedTotal:      s.stats.JobsShed.Load(),
 		PreemptedTotal: s.stats.JobsPreempted.Load(),
 	}
-	counters := s.stats.TenantSnapshots()
 	for _, ts := range s.sched.Snapshot() {
 		if body.Tenants == nil {
 			body.Tenants = make(map[string]tenantHealth)
 		}
-		tc := counters[ts.Tenant]
+		tc := s.stats.Tenant(ts.Tenant)
 		body.Tenants[ts.Tenant] = tenantHealth{
 			Weight:         ts.Weight,
 			QueuedJobs:     ts.QueuedJobs,
 			OpenJobs:       ts.OpenJobs,
 			BacklogConfigs: ts.Backlog,
 			VirtualTime:    ts.VirtualTime,
-			Running:        tc.Running,
-			ShedTotal:      tc.Shed,
-			PreemptedTotal: tc.Preempted,
+			Running:        tc.Running.Load(),
+			ShedTotal:      tc.Shed.Load(),
+			PreemptedTotal: tc.Preempted.Load(),
 		}
 	}
 	if st, ok := s.StoreStats(); ok {
@@ -688,81 +688,108 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	snap := s.stats.Snapshot()
-	fmt.Fprint(w, snap.RenderProm("rescqd"))
-	entries, capacity := 0, 0
+	s.stats.Registry().WriteText(w)
+}
+
+// declareMetrics declares the /metrics families whose values live outside
+// ServiceStats — cache, scheduler, store, analytics and cluster membership
+// — into the stats registry, each read from its source at scrape time.
+// Families whose source this daemon lacks are left off the page: analytics
+// and cluster families are declared only in the configurations that have
+// them, and store families emit nothing until a store is attached.
+func (s *Server) declareMetrics() {
+	r := s.stats.Registry()
+	one := func(kind metrics.Kind, name, help string, v func() float64) {
+		r.Func(kind, name, help, "", func(emit func(string, float64)) { emit("", v()) })
+	}
+	cacheLen, cacheCap := func() int { return 0 }, func() int { return 0 }
 	if s.cache != nil {
-		entries, capacity = s.cache.len(), s.cache.capacity()
+		cacheLen, cacheCap = s.cache.len, s.cache.capacity
 	}
-	fmt.Fprintf(w, "# HELP rescqd_cache_entries Result-cache entries resident.\n# TYPE rescqd_cache_entries gauge\nrescqd_cache_entries %d\n", entries)
-	fmt.Fprintf(w, "# HELP rescqd_cache_capacity Result-cache entry budget.\n# TYPE rescqd_cache_capacity gauge\nrescqd_cache_capacity %d\n", capacity)
-	fmt.Fprintf(w, "# HELP rescqd_queue_pending Jobs waiting in the queue.\n# TYPE rescqd_queue_pending gauge\nrescqd_queue_pending %d\n", s.sched.Len())
-	fmt.Fprintf(w, "# HELP rescqd_pending_configs Run configurations admitted but not yet finished (admission-control backlog).\n# TYPE rescqd_pending_configs gauge\nrescqd_pending_configs %d\n", s.pending.Load())
-	if snaps := s.sched.Snapshot(); len(snaps) > 0 {
-		fmt.Fprint(w, "# HELP rescqd_tenant_queued_jobs Jobs waiting in the scheduler, by tenant.\n# TYPE rescqd_tenant_queued_jobs gauge\n")
-		for _, ts := range snaps {
-			fmt.Fprintf(w, "rescqd_tenant_queued_jobs{tenant=%q} %d\n", ts.Tenant, ts.QueuedJobs)
-		}
-		fmt.Fprint(w, "# HELP rescqd_tenant_open_jobs Queued plus running jobs, by tenant.\n# TYPE rescqd_tenant_open_jobs gauge\n")
-		for _, ts := range snaps {
-			fmt.Fprintf(w, "rescqd_tenant_open_jobs{tenant=%q} %d\n", ts.Tenant, ts.OpenJobs)
-		}
-		fmt.Fprint(w, "# HELP rescqd_tenant_backlog_configs Admitted-but-unfinished configurations, by tenant.\n# TYPE rescqd_tenant_backlog_configs gauge\n")
-		for _, ts := range snaps {
-			fmt.Fprintf(w, "rescqd_tenant_backlog_configs{tenant=%q} %d\n", ts.Tenant, ts.Backlog)
-		}
+	one(metrics.Gauge, "rescqd_cache_entries", "Result-cache entries resident.", func() float64 { return float64(cacheLen()) })
+	one(metrics.Gauge, "rescqd_cache_capacity", "Result-cache entry budget.", func() float64 { return float64(cacheCap()) })
+	one(metrics.Gauge, "rescqd_queue_pending", "Jobs waiting in the queue.", func() float64 { return float64(s.sched.Len()) })
+	one(metrics.Gauge, "rescqd_pending_configs", "Run configurations admitted but not yet finished (admission-control backlog).",
+		func() float64 { return float64(s.pending.Load()) })
+
+	perTenant := func(name, help string, v func(schedq.TenantSnapshot) int64) {
+		r.Func(metrics.Gauge, name, help, "tenant", func(emit func(string, float64)) {
+			for _, ts := range s.sched.Snapshot() {
+				emit(ts.Tenant, float64(v(ts)))
+			}
+		})
 	}
-	if st, ok := s.StoreStats(); ok {
-		fmt.Fprintf(w, "# HELP rescqd_store_jobs Jobs in the durable store index.\n# TYPE rescqd_store_jobs gauge\nrescqd_store_jobs %d\n", st.Jobs)
-		fmt.Fprintf(w, "# HELP rescqd_store_records Records in the WAL file.\n# TYPE rescqd_store_records gauge\nrescqd_store_records %d\n", st.Records)
-		fmt.Fprintf(w, "# HELP rescqd_store_bytes WAL file size in bytes.\n# TYPE rescqd_store_bytes gauge\nrescqd_store_bytes %d\n", st.Bytes)
-		fmt.Fprintf(w, "# HELP rescqd_store_compactions_total WAL compactions performed.\n# TYPE rescqd_store_compactions_total counter\nrescqd_store_compactions_total %d\n", st.Compactions)
-		// codec="binary" is kept so existing scrapers match unchanged.
-		fmt.Fprintf(w, "# HELP rescqd_store_appends_total WAL records appended.\n# TYPE rescqd_store_appends_total counter\nrescqd_store_appends_total{codec=\"binary\"} %d\n", st.Appends)
-		fmt.Fprintf(w, "# HELP rescqd_store_append_bytes_total WAL bytes appended.\n# TYPE rescqd_store_append_bytes_total counter\nrescqd_store_append_bytes_total{codec=\"binary\"} %d\n", st.AppendBytes)
-		durable := 1
-		if s.Lossy() {
-			durable = 0
-		}
-		fmt.Fprintf(w, "# HELP rescqd_store_durable Whether the WAL is taking writes (0 while serving in lossy mode).\n# TYPE rescqd_store_durable gauge\nrescqd_store_durable %d\n", durable)
-		fmt.Fprintf(w, "# HELP rescqd_replay_dropped Interrupted jobs left resumable on disk after a failed re-enqueue at startup.\n# TYPE rescqd_replay_dropped gauge\nrescqd_replay_dropped %d\n", s.ReplayInfo().Dropped)
+	perTenant("rescqd_tenant_queued_jobs", "Jobs waiting in the scheduler, by tenant.", func(ts schedq.TenantSnapshot) int64 { return int64(ts.QueuedJobs) })
+	perTenant("rescqd_tenant_open_jobs", "Queued plus running jobs, by tenant.", func(ts schedq.TenantSnapshot) int64 { return int64(ts.OpenJobs) })
+	perTenant("rescqd_tenant_backlog_configs", "Admitted-but-unfinished configurations, by tenant.", func(ts schedq.TenantSnapshot) int64 { return ts.Backlog })
+
+	// The append counters keep codec="binary" so existing scrapers match
+	// unchanged; the unlabeled store families ignore it.
+	fromStore := func(kind metrics.Kind, name, help, label string, v func(store.Stats) int64) {
+		r.Func(kind, name, help, label, func(emit func(string, float64)) {
+			if st, ok := s.StoreStats(); ok {
+				emit("binary", float64(v(st)))
+			}
+		})
 	}
+	fromStore(metrics.Gauge, "rescqd_store_jobs", "Jobs in the durable store index.", "", func(st store.Stats) int64 { return int64(st.Jobs) })
+	fromStore(metrics.Gauge, "rescqd_store_records", "Records in the WAL file.", "", func(st store.Stats) int64 { return int64(st.Records) })
+	fromStore(metrics.Gauge, "rescqd_store_bytes", "WAL file size in bytes.", "", func(st store.Stats) int64 { return st.Bytes })
+	fromStore(metrics.Counter, "rescqd_store_compactions_total", "WAL compactions performed.", "", func(st store.Stats) int64 { return st.Compactions })
+	fromStore(metrics.Counter, "rescqd_store_appends_total", "WAL records appended.", "codec", func(st store.Stats) int64 { return st.Appends })
+	fromStore(metrics.Counter, "rescqd_store_append_bytes_total", "WAL bytes appended.", "codec", func(st store.Stats) int64 { return st.AppendBytes })
+	fromStore(metrics.Gauge, "rescqd_store_durable", "Whether the WAL is taking writes (0 while serving in lossy mode).", "",
+		func(store.Stats) int64 { return boolGauge(!s.Lossy()) })
+	fromStore(metrics.Gauge, "rescqd_replay_dropped", "Interrupted jobs left resumable on disk after a failed re-enqueue at startup.", "",
+		func(store.Stats) int64 { return int64(s.ReplayInfo().Dropped) })
+
 	if s.an != nil {
-		as := s.an.Stats()
-		metrics.PromLine(w, "gauge", "rescqd_analytics_groups", "Materialized analytics aggregate cells (distinct axis tuples).", int64(as.Groups))
-		metrics.PromLine(w, "gauge", "rescqd_analytics_group_cap", "Configured aggregate-cell cardinality cap.", int64(as.GroupCap))
-		metrics.PromLine(w, "gauge", "rescqd_analytics_benchmarks", "Benchmarks with at least one analytics cell.", int64(as.Benchmarks))
-		metrics.PromLine(w, "counter", "rescqd_analytics_results_ingested_total", "Results folded into analytics aggregates.", as.Ingested)
-		metrics.PromLine(w, "counter", "rescqd_analytics_results_skipped_total", "Results that advanced a watermark with nothing to aggregate (errors, reports).", as.Skipped)
-		metrics.PromLine(w, "counter", "rescqd_analytics_results_deduped_total", "Replayed results rejected by a job watermark.", as.Deduped)
-		metrics.PromLine(w, "counter", "rescqd_analytics_results_dropped_total", "Results beyond the cardinality cap, counted but not aggregated.", as.Dropped)
-		metrics.PromLine(w, "counter", "rescqd_analytics_queries_total", "Analytics queries served.", as.Queries)
-		metrics.PromLine(w, "counter", "rescqd_analytics_snapshots_total", "Analytics snapshots written to the WAL.", as.Snapshots)
-		metrics.PromLine(w, "gauge", "rescqd_analytics_ingest_lag", "Results folded since the last durable analytics snapshot (replay cost of a crash now).", as.IngestLag)
+		fromAnalytics := func(kind metrics.Kind, name, help string, v func(analytics.Stats) int64) {
+			one(kind, name, help, func() float64 { return float64(v(s.an.Stats())) })
+		}
+		fromAnalytics(metrics.Gauge, "rescqd_analytics_groups", "Materialized analytics aggregate cells (distinct axis tuples).", func(a analytics.Stats) int64 { return int64(a.Groups) })
+		fromAnalytics(metrics.Gauge, "rescqd_analytics_group_cap", "Configured aggregate-cell cardinality cap.", func(a analytics.Stats) int64 { return int64(a.GroupCap) })
+		fromAnalytics(metrics.Gauge, "rescqd_analytics_benchmarks", "Benchmarks with at least one analytics cell.", func(a analytics.Stats) int64 { return int64(a.Benchmarks) })
+		fromAnalytics(metrics.Counter, "rescqd_analytics_results_ingested_total", "Results folded into analytics aggregates.", func(a analytics.Stats) int64 { return a.Ingested })
+		fromAnalytics(metrics.Counter, "rescqd_analytics_results_skipped_total", "Results that advanced a watermark with nothing to aggregate (errors, reports).", func(a analytics.Stats) int64 { return a.Skipped })
+		fromAnalytics(metrics.Counter, "rescqd_analytics_results_deduped_total", "Replayed results rejected by a job watermark.", func(a analytics.Stats) int64 { return a.Deduped })
+		fromAnalytics(metrics.Counter, "rescqd_analytics_results_dropped_total", "Results beyond the cardinality cap, counted but not aggregated.", func(a analytics.Stats) int64 { return a.Dropped })
+		fromAnalytics(metrics.Counter, "rescqd_analytics_queries_total", "Analytics queries served.", func(a analytics.Stats) int64 { return a.Queries })
+		fromAnalytics(metrics.Counter, "rescqd_analytics_snapshots_total", "Analytics snapshots written to the WAL.", func(a analytics.Stats) int64 { return a.Snapshots })
+		fromAnalytics(metrics.Gauge, "rescqd_analytics_ingest_lag", "Results folded since the last durable analytics snapshot (replay cost of a crash now).", func(a analytics.Stats) int64 { return a.IngestLag })
 	}
-	if ws, ok := s.ClusterWorkers(); ok {
-		fmt.Fprintf(w, "# HELP rescqd_cluster_workers Live workers registered with the coordinator.\n# TYPE rescqd_cluster_workers gauge\nrescqd_cluster_workers %d\n", len(ws))
-		fmt.Fprint(w, "# HELP rescqd_cluster_worker_inflight Batches in flight per worker.\n# TYPE rescqd_cluster_worker_inflight gauge\n")
-		for _, wi := range ws {
-			fmt.Fprintf(w, "rescqd_cluster_worker_inflight{worker=%q} %d\n", wi.ID, wi.Inflight)
+
+	if s.clust != nil && s.clust.registry != nil {
+		perWorker := func(name, help string, v func(cluster.WorkerInfo) int) {
+			r.Func(metrics.Gauge, name, help, "worker", func(emit func(string, float64)) {
+				for _, wi := range s.clust.registry.Snapshot() {
+					emit(wi.ID, float64(v(wi)))
+				}
+			})
 		}
-		fmt.Fprint(w, "# HELP rescqd_cluster_worker_capacity Batch capacity per worker.\n# TYPE rescqd_cluster_worker_capacity gauge\n")
-		for _, wi := range ws {
-			fmt.Fprintf(w, "rescqd_cluster_worker_capacity{worker=%q} %d\n", wi.ID, wi.Capacity)
-		}
-		backlogMS, slots, perSlot := s.scaleSignal()
-		fmt.Fprintf(w, "# HELP rescqd_cluster_backlog_ms Admitted backlog in estimated milliseconds of work (pending configs x p50).\n# TYPE rescqd_cluster_backlog_ms gauge\nrescqd_cluster_backlog_ms %d\n", backlogMS)
-		fmt.Fprintf(w, "# HELP rescqd_cluster_capacity_slots Live non-draining dispatch slots across the cluster.\n# TYPE rescqd_cluster_capacity_slots gauge\nrescqd_cluster_capacity_slots %d\n", slots)
-		fmt.Fprintf(w, "# HELP rescqd_cluster_scale_signal Backlog-ms per live capacity slot; compare against batch_target_ms to scale.\n# TYPE rescqd_cluster_scale_signal gauge\nrescqd_cluster_scale_signal %g\n", perSlot)
+		one(metrics.Gauge, "rescqd_cluster_workers", "Live workers registered with the coordinator.", func() float64 { return float64(s.clust.registry.Len()) })
+		perWorker("rescqd_cluster_worker_inflight", "Batches in flight per worker.", func(wi cluster.WorkerInfo) int { return wi.Inflight })
+		perWorker("rescqd_cluster_worker_capacity", "Batch capacity per worker.", func(wi cluster.WorkerInfo) int { return wi.Capacity })
+		one(metrics.Gauge, "rescqd_cluster_backlog_ms", "Admitted backlog in estimated milliseconds of work (pending configs x p50).",
+			func() float64 { ms, _, _ := s.scaleSignal(); return float64(ms) })
+		one(metrics.Gauge, "rescqd_cluster_capacity_slots", "Live non-draining dispatch slots across the cluster.",
+			func() float64 { _, slots, _ := s.scaleSignal(); return float64(slots) })
+		one(metrics.Gauge, "rescqd_cluster_scale_signal", "Backlog-ms per live capacity slot; compare against batch_target_ms to scale.",
+			func() float64 { _, _, perSlot := s.scaleSignal(); return perSlot })
 	}
 	if s.clust != nil && s.clust.cfg.Mode == config.ModeWorker {
-		draining := 0
-		if s.WorkerDraining() {
-			draining = 1
-		}
-		fmt.Fprintf(w, "# HELP rescqd_worker_draining Whether this worker is retiring (fenced from new batches).\n# TYPE rescqd_worker_draining gauge\nrescqd_worker_draining %d\n", draining)
+		one(metrics.Gauge, "rescqd_worker_draining", "Whether this worker is retiring (fenced from new batches).",
+			func() float64 { return float64(boolGauge(s.WorkerDraining())) })
 	}
-	fmt.Fprintf(w, "# HELP rescqd_uptime_seconds Daemon uptime.\n# TYPE rescqd_uptime_seconds gauge\nrescqd_uptime_seconds %.0f\n", time.Since(s.startTime).Seconds())
+	one(metrics.Gauge, "rescqd_uptime_seconds", "Daemon uptime.", func() float64 { return math.Round(time.Since(s.startTime).Seconds()) })
+}
+
+// boolGauge renders a flag as a 0/1 gauge value.
+func boolGauge(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // maxRequestBody bounds a submission body. The largest legitimate payloads

@@ -360,6 +360,7 @@ func New(cfg config.Daemon, runner Runner) *Server {
 		s.an = analytics.New(cfg.AnalyticsMaxGroups)
 	}
 	s.clust = newClusterState(cfg.Cluster)
+	s.declareMetrics()
 	for i := range s.shards {
 		s.shards[i].jobs = make(map[string]*Job)
 	}

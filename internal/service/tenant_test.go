@@ -114,7 +114,7 @@ func TestFairnessWhaleAndInteractive(t *testing.T) {
 			t.Fatalf("whale already terminal (%s) after interactive run %d: the scheduler let the whale monopolize the worker", v.State, i)
 		}
 	}
-	if got := s.Stats().Snapshot().JobsPreempted; got < 1 {
+	if got := s.Stats().JobsPreempted.Load(); got < 1 {
 		t.Fatalf("jobs preempted = %d, want >= 1 (interactive runs should have preempted the whale)", got)
 	}
 
@@ -146,8 +146,8 @@ func TestFairnessWhaleAndInteractive(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("preempted whale results differ from uncontended run:\n got: %s\nwant: %s", got, want)
 	}
-	if snap := s.Stats().Snapshot(); snap.Tenants["whale"].Preempted < 1 || snap.Tenants["live"].Done != 5 {
-		t.Fatalf("tenant counters = %+v", snap.Tenants)
+	if whale, live := s.Stats().Tenant("whale"), s.Stats().Tenant("live"); whale.Preempted.Load() < 1 || live.Done.Load() != 5 {
+		t.Fatalf("tenant counters: whale preempted=%d, live done=%d", whale.Preempted.Load(), live.Done.Load())
 	}
 }
 
@@ -199,8 +199,8 @@ func TestShedRetryAfterPerTenant(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if snap := s.Stats().Snapshot(); snap.Tenants["whale"].Shed != 1 || snap.Tenants["quiet"].Shed != 1 {
-		t.Fatalf("per-tenant shed counters = %+v", snap.Tenants)
+	if whale, quiet := s.Stats().Tenant("whale").Shed.Load(), s.Stats().Tenant("quiet").Shed.Load(); whale != 1 || quiet != 1 {
+		t.Fatalf("per-tenant shed counters: whale=%d quiet=%d", whale, quiet)
 	}
 }
 
