@@ -123,9 +123,10 @@ func TestDaemonKillRestartAnalytics(t *testing.T) {
 	var out, errOut bytes.Buffer
 	ready := make(chan string, 1)
 	exitCh := make(chan int, 1)
+	stop := make(chan struct{})
 	go func() {
 		exitCh <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-store-dir", dir},
-			&out, &errOut, ready)
+			&out, &errOut, ready, stop)
 	}()
 	var addr string
 	select {
@@ -147,30 +148,29 @@ func TestDaemonKillRestartAnalytics(t *testing.T) {
 	}
 	resumedAnswers := analyticsAnswers(t, base2)
 
-	drain := func(which string, ch <-chan int, errOut *bytes.Buffer) {
+	drain := func(which string, stop chan struct{}, ch <-chan int, errOut *bytes.Buffer) {
 		t.Helper()
-		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
+		close(stop)
 		select {
 		case code := <-ch:
 			if code != 0 {
 				t.Fatalf("%s daemon exit %d; stderr: %s", which, code, errOut.String())
 			}
 		case <-time.After(60 * time.Second):
-			t.Fatalf("%s daemon did not drain after SIGTERM", which)
+			t.Fatalf("%s daemon did not drain after stop", which)
 		}
 	}
-	drain("restarted", exitCh, &errOut)
+	drain("restarted", stop, exitCh, &errOut)
 
 	// --- Phase 3: a fresh daemon + fresh store dir runs the identical
 	// sweep uninterrupted; its analytics answers are the reference. ---
 	var cout, cerr bytes.Buffer
 	cready := make(chan string, 1)
 	cexit := make(chan int, 1)
+	cstop := make(chan struct{})
 	go func() {
 		cexit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-store-dir", t.TempDir()},
-			&cout, &cerr, cready)
+			&cout, &cerr, cready, cstop)
 	}()
 	var caddr string
 	select {
@@ -199,5 +199,5 @@ func TestDaemonKillRestartAnalytics(t *testing.T) {
 				q, resumedAnswers[q], controlAnswers[q])
 		}
 	}
-	drain("control", cexit, &cerr)
+	drain("control", cstop, cexit, &cerr)
 }

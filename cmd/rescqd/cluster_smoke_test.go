@@ -4,20 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"os"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 )
 
 // bootDaemon starts run() with the given args on an ephemeral port and
-// returns its base URL plus the exit channel.
-func bootDaemon(t *testing.T, args []string, out, errOut *bytes.Buffer) (string, chan int) {
+// returns its base URL plus the exit channel; closing stop drains it.
+func bootDaemon(t *testing.T, args []string, out, errOut *bytes.Buffer, stop <-chan struct{}) (string, chan int) {
 	t.Helper()
 	ready := make(chan string, 1)
 	exit := make(chan int, 1)
-	go func() { exit <- run(args, out, errOut, ready) }()
+	go func() { exit <- run(args, out, errOut, ready, stop) }()
 	select {
 	case addr := <-ready:
 		return "http://" + addr, exit
@@ -30,24 +28,25 @@ func bootDaemon(t *testing.T, args []string, out, errOut *bytes.Buffer) (string,
 // TestClusterQuickstart is the README's three-local-processes walkthrough
 // as a test: one coordinator and two workers booted through the real
 // main(), a sweep submitted to the coordinator, every configuration
-// executed remotely, and a clean SIGTERM drain for all three daemons.
+// executed remotely, and a clean drain for all three daemons.
 func TestClusterQuickstart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real daemon boot in -short mode")
 	}
 	var coordOut, coordErr, w1Out, w1Err, w2Out, w2Err bytes.Buffer
+	stop := make(chan struct{})
 	coordURL, coordExit := bootDaemon(t, []string{
 		"-addr", "127.0.0.1:0", "-mode", "coordinator", "-workers", "1",
 		"-heartbeat-interval", "50ms", "-liveness-expiry", "250ms", "-batch-size", "2",
-	}, &coordOut, &coordErr)
+	}, &coordOut, &coordErr, stop)
 	_, w1Exit := bootDaemon(t, []string{
 		"-addr", "127.0.0.1:0", "-mode", "worker", "-workers", "1",
 		"-coordinator", coordURL, "-heartbeat-interval", "50ms",
-	}, &w1Out, &w1Err)
+	}, &w1Out, &w1Err, stop)
 	_, w2Exit := bootDaemon(t, []string{
 		"-addr", "127.0.0.1:0", "-mode", "worker", "-workers", "1",
 		"-coordinator", coordURL, "-heartbeat-interval", "50ms",
-	}, &w2Out, &w2Err)
+	}, &w2Out, &w2Err, stop)
 
 	// Wait until both workers are registered.
 	type clusterView struct {
@@ -115,10 +114,8 @@ func TestClusterQuickstart(t *testing.T) {
 		t.Fatalf("remote_configs = %+v, want 3", h.Cluster)
 	}
 
-	// One SIGTERM reaches all three daemons (same process); each drains.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatalf("signal: %v", err)
-	}
+	// One shared stop channel reaches all three daemons; each drains.
+	close(stop)
 	for name, c := range map[string]chan int{"coordinator": coordExit, "worker1": w1Exit, "worker2": w2Exit} {
 		select {
 		case code := <-c:
@@ -127,7 +124,7 @@ func TestClusterQuickstart(t *testing.T) {
 					name, code, coordErr.String(), w1Err.String(), w2Err.String())
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("%s did not drain after SIGTERM", name)
+			t.Fatalf("%s did not drain after stop", name)
 		}
 	}
 	for _, out := range []*bytes.Buffer{&coordOut, &w1Out, &w2Out} {

@@ -52,14 +52,16 @@ func deriveAdvertiseURL(bound string) string {
 }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil, nil))
 }
 
 // run is the testable main: it parses flags, serves until the listener
-// fails or a SIGINT/SIGTERM arrives, then drains. A non-nil ready channel
-// receives the bound address once the daemon is listening (used by tests to
-// avoid port races).
-func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
+// fails, a SIGINT/SIGTERM arrives or stop is closed, then drains. A non-nil
+// ready channel receives the bound address once the daemon is listening
+// (used by tests to avoid port races). Tests stop the daemon by closing
+// stop: a signal sent to the test process would also reach, or kill, any
+// other daemon the process hosts.
+func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-chan struct{}) int {
 	fs := flag.NewFlagSet("rescqd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -236,6 +238,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	select {
 	case sig := <-sigCh:
 		fmt.Fprintf(stdout, "rescqd: %v, draining (budget %s)\n", sig, cfg.DrainTimeout())
+	case <-stop:
+		fmt.Fprintf(stdout, "rescqd: stop requested, draining (budget %s)\n", cfg.DrainTimeout())
 	case err := <-serveErr:
 		fmt.Fprintln(stderr, "rescqd:", err)
 		return 1

@@ -4,16 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"os"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 )
 
 // TestDaemonServesAndDrains boots the real daemon on an ephemeral port,
-// runs one tiny simulation through the HTTP API, then delivers SIGTERM and
-// asserts a clean drain.
+// runs one tiny simulation through the HTTP API, then closes its stop
+// channel and asserts a clean drain.
 func TestDaemonServesAndDrains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real daemon boot in -short mode")
@@ -21,8 +19,9 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	var out, errOut bytes.Buffer
 	ready := make(chan string, 1)
 	exit := make(chan int, 1)
+	stop := make(chan struct{})
 	go func() {
-		exit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "2", "-queue", "8"}, &out, &errOut, ready)
+		exit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "2", "-queue", "8"}, &out, &errOut, ready, stop)
 	}()
 	var addr string
 	select {
@@ -60,16 +59,14 @@ func TestDaemonServesAndDrains(t *testing.T) {
 		t.Fatalf("run response = %+v", runResp)
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatalf("signal: %v", err)
-	}
+	close(stop)
 	select {
 	case code := <-exit:
 		if code != 0 {
 			t.Fatalf("exit code %d; stderr: %s", code, errOut.String())
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not drain after SIGTERM")
+		t.Fatal("daemon did not drain after stop")
 	}
 	if !strings.Contains(out.String(), "drained cleanly") {
 		t.Errorf("stdout missing drain confirmation:\n%s", out.String())
@@ -97,7 +94,7 @@ func TestDaemonFlagAndConfigErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errOut bytes.Buffer
-			if code := run(tc.args, &out, &errOut, nil); code != tc.code {
+			if code := run(tc.args, &out, &errOut, nil, nil); code != tc.code {
 				t.Fatalf("exit %d, want %d (stderr: %s)", code, tc.code, errOut.String())
 			}
 			if errOut.Len() == 0 {

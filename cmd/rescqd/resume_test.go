@@ -19,7 +19,7 @@ import (
 func TestMain(m *testing.M) {
 	if dir := os.Getenv("RESCQD_HELPER_STORE"); dir != "" {
 		os.Exit(run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-store-dir", dir},
-			os.Stdout, os.Stderr, nil))
+			os.Stdout, os.Stderr, nil, nil))
 	}
 	os.Exit(m.Run())
 }
@@ -134,9 +134,10 @@ func TestDaemonKillRestartResume(t *testing.T) {
 	var out, errOut bytes.Buffer
 	ready := make(chan string, 1)
 	exitCh := make(chan int, 1)
+	stop := make(chan struct{})
 	go func() {
 		exitCh <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-store-dir", dir},
-			&out, &errOut, ready)
+			&out, &errOut, ready, stop)
 	}()
 	var addr string
 	select {
@@ -177,24 +178,21 @@ func TestDaemonKillRestartResume(t *testing.T) {
 		}
 	}
 
-	// Drain the restarted daemon cleanly before the control boots: an
-	// in-process SIGTERM reaches every live run() instance, so only one
-	// daemon may be alive at a time.
-	drain := func(which string, ch <-chan int, errOut *bytes.Buffer) {
+	// Drain the restarted daemon cleanly before the control boots, so the
+	// control runs alone.
+	drain := func(which string, stop chan struct{}, ch <-chan int, errOut *bytes.Buffer) {
 		t.Helper()
-		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
+		close(stop)
 		select {
 		case code := <-ch:
 			if code != 0 {
 				t.Fatalf("%s daemon exit %d; stderr: %s", which, code, errOut.String())
 			}
 		case <-time.After(60 * time.Second):
-			t.Fatalf("%s daemon did not drain after SIGTERM", which)
+			t.Fatalf("%s daemon did not drain after stop", which)
 		}
 	}
-	drain("restarted", exitCh, &errOut)
+	drain("restarted", stop, exitCh, &errOut)
 
 	// --- Phase 3: the uninterrupted control run, byte-for-byte — on a
 	// FRESH daemon with a FRESH store dir, so nothing it serves can come
@@ -203,9 +201,10 @@ func TestDaemonKillRestartResume(t *testing.T) {
 	var cout, cerr bytes.Buffer
 	cready := make(chan string, 1)
 	cexit := make(chan int, 1)
+	cstop := make(chan struct{})
 	go func() {
 		cexit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-store-dir", t.TempDir()},
-			&cout, &cerr, cready)
+			&cout, &cerr, cready, cstop)
 	}()
 	var caddr string
 	select {
@@ -237,7 +236,7 @@ func TestDaemonKillRestartResume(t *testing.T) {
 			t.Errorf("configuration %d differs after kill+resume:\n%s\n%s", i, a, b)
 		}
 	}
-	drain("control", cexit, &cerr)
+	drain("control", cstop, cexit, &cerr)
 }
 
 // normalizeResult re-encodes a ConfigResult with the cached flag zeroed,

@@ -83,7 +83,8 @@ func (s *Scheduler) planRz(st *sim.State, gs *gateState) {
 	for _, c := range s.nbrBufA {
 		reserve(c)
 	}
-	for _, c := range grid.DiagonalAncillas(gs.q) {
+	var diag [4]lattice.Coord
+	for _, c := range grid.DiagonalAncillas(gs.q, diag[:0]) {
 		reserve(c)
 	}
 	gs.cands = rzCandidates(grid, gs.q)
@@ -94,11 +95,12 @@ func (s *Scheduler) planRz(st *sim.State, gs *gateState) {
 // current orientation.
 func rzCandidates(grid *lattice.Grid, q int) []injCand {
 	var cands []injCand
-	for _, t := range grid.ZEdgeAncillas(q) {
+	var edge [2]lattice.Coord
+	for _, t := range grid.ZEdgeAncillas(q, edge[:0]) {
 		cands = append(cands, injCand{prep: t, kind: rus.InjectZZ})
 	}
 	dataTile := grid.DataTile(q)
-	for _, helper := range grid.XEdgeAncillas(q) {
+	for _, helper := range grid.XEdgeAncillas(q, edge[:0]) {
 		for dir := lattice.North; dir <= lattice.West; dir++ {
 			p := helper.Step(dir)
 			if p == dataTile || grid.Kind(p) != lattice.TileAncilla {
@@ -241,19 +243,17 @@ func containsInt(s []int, x int) bool {
 // no ancilla.
 func (s *Scheduler) planCNOTShortest(st *sim.State, gs *gateState) {
 	grid := st.Grid()
-	srcs := grid.ZEdgeAncillas(gs.control)
-	if len(srcs) == 0 {
+	s.nbrBufA = grid.ZEdgeAncillas(gs.control, s.nbrBufA[:0])
+	if len(s.nbrBufA) == 0 {
 		gs.rotC = true
-		s.nbrBufA = grid.AncillaNeighbors(grid.DataTile(gs.control), s.nbrBufA[:0])
-		srcs = s.nbrBufA
+		s.nbrBufA = grid.AncillaNeighbors(grid.DataTile(gs.control), s.nbrBufA)
 	}
-	dsts := grid.XEdgeAncillas(gs.target)
-	if len(dsts) == 0 {
+	s.nbrBufB = grid.XEdgeAncillas(gs.target, s.nbrBufB[:0])
+	if len(s.nbrBufB) == 0 {
 		gs.rotT = true
-		s.nbrBufB = grid.AncillaNeighbors(grid.DataTile(gs.target), s.nbrBufB[:0])
-		dsts = s.nbrBufB
+		s.nbrBufB = grid.AncillaNeighbors(grid.DataTile(gs.target), s.nbrBufB)
 	}
-	path := grid.ShortestAncillaPath(srcs, dsts, nil)
+	path := grid.ShortestAncillaPath(s.nbrBufA, s.nbrBufB, nil)
 	if path == nil {
 		panic("core: no shortest-path CNOT plan found")
 	}

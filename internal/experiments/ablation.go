@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/qbench"
@@ -57,9 +59,10 @@ func Ablation(o Options) (AblationResult, error) {
 		if err != nil {
 			return res, err
 		}
+		dag := circuit.NewDAG(circ)
 		sim.ParallelFor(len(errs), 0, func(u int) {
 			vi, i := u/o.Runs, u%o.Runs
-			results[vi][i], errs[u] = sim.RunSeeded(baseGrid.Clone(), circ, o.simConfig(),
+			results[vi][i], errs[u] = sim.RunDAG(context.Background(), baseGrid.Clone(), dag, o.simConfig(),
 				o.BaseSeed+int64(i), core.New(ablationVariants[vi].cfg))
 		})
 		for _, err := range errs {

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -123,7 +124,7 @@ func runJobs(jobs []runJob) ([]sim.Aggregate, error) {
 	type unit struct{ job, run int }
 	var units []unit
 	results := make([][]*sim.Result, len(jobs))
-	circs := make([]*circuit.Circuit, len(jobs))
+	dags := make([]*circuit.DAG, len(jobs))
 	grids := make([]*lattice.Grid, len(jobs))
 	for j := range jobs {
 		jobs[j].o = jobs[j].o.withDefaults()
@@ -131,10 +132,11 @@ func runJobs(jobs []runJob) ([]sim.Aggregate, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown benchmark %q", jobs[j].bench)
 		}
-		circs[j] = spec.Circuit()
+		circ := spec.Circuit()
+		dags[j] = circuit.NewDAG(circ)
 		// One deterministic layout build per configuration; each seeded
 		// run below mutates its own clone.
-		g, err := jobs[j].o.buildGrid(circs[j].NumQubits)
+		g, err := jobs[j].o.buildGrid(circ.NumQubits)
 		if err != nil {
 			return nil, err
 		}
@@ -160,9 +162,8 @@ func runJobs(jobs []runJob) ([]sim.Aggregate, error) {
 			errs[u] = err
 			return
 		}
-		// Sharing circs[j] across goroutines is safe: RunSeeded builds
-		// its own DAG and treats the circuit as read-only.
-		results[j][i], errs[u] = sim.RunSeeded(g, circs[j], jb.o.simConfig(), jb.o.BaseSeed+int64(i), s)
+		// Sharing dags[j] across goroutines is safe: runs only read it.
+		results[j][i], errs[u] = sim.RunDAG(context.Background(), g, dags[j], jb.o.simConfig(), jb.o.BaseSeed+int64(i), s)
 	})
 	for _, err := range errs {
 		if err != nil {

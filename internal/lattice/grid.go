@@ -83,12 +83,18 @@ func (c Coord) Step(d Dir) Coord {
 	}
 }
 
+// Dist returns the Manhattan distance from c to o in tiles.
+func (c Coord) Dist(o Coord) int { return absInt(c.Row-o.Row) + absInt(c.Col-o.Col) }
+
 // String renders the coordinate as (row,col).
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.Row, c.Col) }
 
 // Grid is the lattice fabric. It is mutable in two ways only: compression
 // (ancilla removal) at setup time, and data-qubit orientation toggles during
-// simulation (edge-rotation gates).
+// simulation (edge-rotation gates). A grid belongs to one simulation run:
+// path queries (ShortestAncillaPath) reuse scratch stored in the grid, so
+// they are not safe to run concurrently on one grid. Clone gives each run
+// its own.
 type Grid struct {
 	rows, cols int
 	kind       []TileKind
@@ -100,6 +106,8 @@ type Grid struct {
 	ancTile []Coord // ancilla ID -> tile coordinate
 
 	blockRows, blockCols int
+
+	route routeScratch // ShortestAncillaPath's search state, never shared
 }
 
 // NewSTARGrid builds the uncompressed STAR grid for n program qubits. The
@@ -285,49 +293,43 @@ func (g *Grid) AncillaNeighbors(c Coord, buf []Coord) []Coord {
 	return buf
 }
 
-// ZEdgeAncillas returns the ancilla tiles adjacent to qubit q across its Z
-// edges (at most two).
-func (g *Grid) ZEdgeAncillas(q int) []Coord {
-	var out []Coord
-	c := g.dataTile[q]
-	for _, d := range g.ZEdgeDirs(q) {
-		n := c.Step(d)
-		if g.Kind(n) == TileAncilla {
-			out = append(out, n)
-		}
-	}
-	return out
+// ZEdgeAncillas appends to buf the ancilla tiles adjacent to qubit q
+// across its Z edges (at most two) and returns the extended slice.
+func (g *Grid) ZEdgeAncillas(q int, buf []Coord) []Coord {
+	return g.edgeAncillas(q, g.ZEdgeDirs(q), buf)
 }
 
-// XEdgeAncillas returns the ancilla tiles adjacent to qubit q across its X
-// edges (at most two).
-func (g *Grid) XEdgeAncillas(q int) []Coord {
-	var out []Coord
-	c := g.dataTile[q]
-	for _, d := range g.XEdgeDirs(q) {
-		n := c.Step(d)
-		if g.Kind(n) == TileAncilla {
-			out = append(out, n)
-		}
-	}
-	return out
+// XEdgeAncillas appends to buf the ancilla tiles adjacent to qubit q
+// across its X edges (at most two) and returns the extended slice.
+func (g *Grid) XEdgeAncillas(q int, buf []Coord) []Coord {
+	return g.edgeAncillas(q, g.XEdgeDirs(q), buf)
 }
 
-// DiagonalAncillas returns the ancilla tiles diagonally adjacent to qubit q.
-// RESCQ enqueues Rz preparations on these when they can be routed to the
-// data qubit through an X-edge-adjacent routing ancilla (Figure 7).
-func (g *Grid) DiagonalAncillas(q int) []Coord {
+func (g *Grid) edgeAncillas(q int, dirs [2]Dir, buf []Coord) []Coord {
 	c := g.dataTile[q]
-	var out []Coord
+	for _, d := range dirs {
+		if n := c.Step(d); g.Kind(n) == TileAncilla {
+			buf = append(buf, n)
+		}
+	}
+	return buf
+}
+
+// DiagonalAncillas appends to buf the ancilla tiles diagonally adjacent to
+// qubit q and returns the extended slice. RESCQ enqueues Rz preparations
+// on these when they can be routed to the data qubit through an
+// X-edge-adjacent routing ancilla (Figure 7).
+func (g *Grid) DiagonalAncillas(q int, buf []Coord) []Coord {
+	c := g.dataTile[q]
 	for _, dc := range [4]Coord{
 		{c.Row - 1, c.Col - 1}, {c.Row - 1, c.Col + 1},
 		{c.Row + 1, c.Col - 1}, {c.Row + 1, c.Col + 1},
 	} {
 		if g.Kind(dc) == TileAncilla {
-			out = append(out, dc)
+			buf = append(buf, dc)
 		}
 	}
-	return out
+	return buf
 }
 
 // AncillaGraph builds the undirected graph over ancilla IDs with one edge
@@ -507,6 +509,7 @@ func (g *Grid) Clone() *Grid {
 	ng.dataTile = append([]Coord(nil), g.dataTile...)
 	ng.ancID = append([]int(nil), g.ancID...)
 	ng.ancTile = append([]Coord(nil), g.ancTile...)
+	ng.route = routeScratch{}
 	return &ng
 }
 

@@ -20,9 +20,9 @@ import (
 // wrong and 3+3+2=8 when both are (rotations are sequential), reproducing
 // the 5- and 8-cycle modes of the paper's Figure 5 histogram.
 type cnotDriver struct {
+	l               *layered // the path finder and its reused buffers
 	node            int
 	control, target int
-	find            PathFinder
 
 	path       []lattice.Coord // chosen once, then kept (static schedule)
 	rotC, rotT bool
@@ -39,10 +39,10 @@ func (d *cnotDriver) tick(st *sim.State) {
 		if !st.QubitFree(d.control) || !st.QubitFree(d.target) {
 			return
 		}
-		var cBuf, tBuf []lattice.Coord
-		srcs := g.AncillaNeighbors(g.DataTile(d.control), cBuf)
-		dsts := g.AncillaNeighbors(g.DataTile(d.target), tBuf)
-		p := d.find(g, srcs, dsts, blockedByOps(st))
+		l := d.l
+		l.srcBuf = g.AncillaNeighbors(g.DataTile(d.control), l.srcBuf[:0])
+		l.dstBuf = g.AncillaNeighbors(g.DataTile(d.target), l.dstBuf[:0])
+		p := l.path(g, l.srcBuf, l.dstBuf, l.blocked)
 		if p == nil {
 			return // congested; retry next cycle
 		}
@@ -147,7 +147,9 @@ func (d *rzDriver) tick(st *sim.State) {
 // a usable edge.
 func (d *rzDriver) begin(st *sim.State) {
 	g := st.Grid()
-	for _, t := range g.ZEdgeAncillas(d.q) {
+	var zBuf [2]lattice.Coord
+	zEdge := g.ZEdgeAncillas(d.q, zBuf[:0])
+	for _, t := range zEdge {
 		if !st.TileFree(t) {
 			continue
 		}
@@ -157,7 +159,8 @@ func (d *rzDriver) begin(st *sim.State) {
 			return
 		}
 	}
-	if cand := cnotInjectionCandidates(st, d.q); len(cand) > 0 {
+	var cBuf [6]prepCandidate
+	if cand := cnotInjectionCandidates(g, d.q, cBuf[:0]); len(cand) > 0 {
 		for _, pc := range cand {
 			if !st.TileFree(pc.prep) {
 				continue
@@ -170,7 +173,7 @@ func (d *rzDriver) begin(st *sim.State) {
 		}
 		return // candidates exist but are busy; wait
 	}
-	if len(g.ZEdgeAncillas(d.q)) > 0 {
+	if len(zEdge) > 0 {
 		return // Z-edge tiles exist but are busy; wait
 	}
 	// No usable geometry in this orientation: rotate the qubit.
@@ -229,14 +232,14 @@ type prepCandidate struct {
 	prep, helper lattice.Coord
 }
 
-// cnotInjectionCandidates enumerates (prep, helper) pairs for qubit q: the
-// helper must be an ancilla on q's X edge and the prep tile an ancilla
-// adjacent to the helper (diagonal to q, or further along the row/column).
-func cnotInjectionCandidates(st *sim.State, q int) []prepCandidate {
-	g := st.Grid()
-	var out []prepCandidate
+// cnotInjectionCandidates appends to out the (prep, helper) pairs for
+// qubit q: the helper must be an ancilla on q's X edge and the prep tile an
+// ancilla adjacent to the helper (diagonal to q, or further along the
+// row/column). There are at most 2 helpers with 3 prep tiles each.
+func cnotInjectionCandidates(g *lattice.Grid, q int, out []prepCandidate) []prepCandidate {
 	dataTile := g.DataTile(q)
-	for _, helper := range g.XEdgeAncillas(q) {
+	var xBuf [2]lattice.Coord
+	for _, helper := range g.XEdgeAncillas(q, xBuf[:0]) {
 		for dir := lattice.North; dir <= lattice.West; dir++ {
 			p := helper.Step(dir)
 			if p == dataTile || g.Kind(p) != lattice.TileAncilla {

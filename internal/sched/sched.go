@@ -40,29 +40,44 @@ func NewGreedy() sim.Scheduler {
 // braid. When no braid corridor is open it falls back to BFS so the
 // schedule can always make progress.
 func NewAutoBraid() sim.Scheduler {
-	return &layered{
-		name: "autobraid",
-		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool) []lattice.Coord {
-			var best []lattice.Coord
-			for _, s := range srcs {
-				if blocked(s) || g.Kind(s) != lattice.TileAncilla {
-					continue
-				}
-				for _, d := range dsts {
-					if blocked(d) || g.Kind(d) != lattice.TileAncilla {
-						continue
-					}
-					if p := g.BraidPath(s, d, blocked); p != nil && (best == nil || len(p) < len(best)) {
-						best = p
-					}
-				}
+	return &layered{name: "autobraid", path: autoBraidPath}
+}
+
+// autoBraidPath is AutoBraid's PathFinder. For each endpoint pair it takes
+// the row-first L if open, else the column-first one, and keeps the first
+// strictly shorter braid. Both Ls of a pair are |Δrow|+|Δcol|+1 tiles
+// long, so pairs that cannot beat the best are skipped unprobed, and only
+// the winning route is built.
+func autoBraidPath(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool) []lattice.Coord {
+	best := 0
+	var bestS, bestD lattice.Coord
+	var bestRowFirst bool
+	for _, s := range srcs {
+		if blocked(s) || g.Kind(s) != lattice.TileAncilla {
+			continue
+		}
+		for _, d := range dsts {
+			if blocked(d) || g.Kind(d) != lattice.TileAncilla {
+				continue
 			}
-			if best != nil {
-				return best
+			if best > 0 && s.Dist(d)+1 >= best {
+				continue
 			}
-			return g.ShortestAncillaPath(srcs, dsts, blocked)
-		},
+			rowFirst := true
+			n := g.BraidLen(s, d, true, blocked)
+			if n == 0 {
+				rowFirst = false
+				n = g.BraidLen(s, d, false, blocked)
+			}
+			if n > 0 {
+				best, bestS, bestD, bestRowFirst = n, s, d, rowFirst
+			}
+		}
 	}
+	if best > 0 {
+		return lattice.BraidRoute(bestS, bestD, bestRowFirst)
+	}
+	return g.ShortestAncillaPath(srcs, dsts, blocked)
 }
 
 // layered is the shared static-scheduler machinery.
@@ -74,6 +89,11 @@ type layered struct {
 	left    int     // unfinished gates in the current layer
 	byLayer [][]int // layer -> node IDs, sorted by descending height
 	drivers map[int]driver
+
+	// blocked is the "tile is reserved" predicate, built once per run;
+	// srcBuf/dstBuf are reused by cnotDriver for its endpoint neighbours.
+	blocked        func(lattice.Coord) bool
+	srcBuf, dstBuf []lattice.Coord
 }
 
 // driver advances one gate's execution state machine each cycle.
@@ -101,6 +121,7 @@ func (l *layered) Init(st *sim.State) error {
 	}
 	l.layer = -1
 	l.drivers = make(map[int]driver)
+	l.blocked = func(c lattice.Coord) bool { return !st.TileFree(c) }
 	return nil
 }
 
@@ -142,7 +163,7 @@ func (l *layered) newDriver(st *sim.State, n int) driver {
 	g := st.DAG().Gate(n)
 	switch g.Kind {
 	case circuit.KindCNOT:
-		return &cnotDriver{node: n, control: g.Control(), target: g.Target(), find: l.path}
+		return &cnotDriver{l: l, node: n, control: g.Control(), target: g.Target()}
 	case circuit.KindRz:
 		return &rzDriver{node: n, q: g.Qubit(), angle: g.Angle}
 	case circuit.KindH:
@@ -152,17 +173,11 @@ func (l *layered) newDriver(st *sim.State, n int) driver {
 	}
 }
 
-// blockedByOps returns the standard "tile is reserved" predicate.
-func blockedByOps(st *sim.State) func(lattice.Coord) bool {
-	return func(c lattice.Coord) bool { return !st.TileFree(c) }
-}
-
 // freeAdjacentAncilla returns a free ancilla tile adjacent to qubit q, or
 // ok=false.
 func freeAdjacentAncilla(st *sim.State, q int) (lattice.Coord, bool) {
-	var buf []lattice.Coord
-	buf = st.Grid().AncillaNeighbors(st.Grid().DataTile(q), buf)
-	for _, c := range buf {
+	var buf [4]lattice.Coord
+	for _, c := range st.Grid().AncillaNeighbors(st.Grid().DataTile(q), buf[:0]) {
 		if st.TileFree(c) {
 			return c, true
 		}

@@ -18,7 +18,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	c.CNOT(0, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSeededContext(ctx, g, c, testCfg(), 1, &scriptSched{})
+	_, err := RunDAG(ctx, g, circuit.NewDAG(c), testCfg(), 1, &scriptSched{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -50,7 +50,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunSeededContext(ctx, g, c, testCfg(), 1, busy)
+		_, err := RunDAG(ctx, g, circuit.NewDAG(c), testCfg(), 1, busy)
 		done <- err
 	}()
 	select {

@@ -192,19 +192,22 @@ func (e *Engine) finish(op *Op) {
 }
 
 // accountActivity updates the sliding-window busy counters per ancilla,
-// using the tile indices precomputed at state construction.
+// using the tile indices precomputed at state construction. The ring is
+// slot-major, so one cycle touches a single contiguous row of it.
 func (e *Engine) accountActivity() {
 	st := e.st
+	n := len(st.ancTileIdx)
 	slot := st.cycle % st.actWindow
+	row := st.actBuf[slot*n : (slot+1)*n]
+	sum, total := st.actSum[:n], st.actTotal[:n]
 	for ancID, tile := range st.ancTileIdx {
 		busy := uint8(0)
 		if st.tileOp[tile] != nil {
 			busy = 1
 		}
-		pos := ancID*st.actWindow + slot
-		st.actSum[ancID] += int(busy) - int(st.actBuf[pos])
-		st.actBuf[pos] = busy
-		st.actTotal[ancID] += int(busy)
+		sum[ancID] += int(busy) - int(row[ancID])
+		row[ancID] = busy
+		total[ancID] += int(busy)
 	}
 }
 

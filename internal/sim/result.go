@@ -41,14 +41,16 @@ type Result struct {
 // on grid under sched with one seed. The grid is mutated during simulation
 // (orientations); callers reusing grids across runs should rebuild them.
 func RunSeeded(g *lattice.Grid, c *circuit.Circuit, cfg Config, seed int64, sched Scheduler) (*Result, error) {
-	return RunSeededContext(context.Background(), g, c, cfg, seed, sched)
+	return RunDAG(context.Background(), g, circuit.NewDAG(c), cfg, seed, sched)
 }
 
-// RunSeededContext is RunSeeded with cooperative cancellation: the engine
-// polls ctx inside its cycle loop, so cancelling a request aborts a long
-// simulation promptly instead of at the run boundary.
-func RunSeededContext(ctx context.Context, g *lattice.Grid, c *circuit.Circuit, cfg Config, seed int64, sched Scheduler) (*Result, error) {
-	dag := circuit.NewDAG(c)
+// RunDAG is RunSeeded over a prebuilt DAG, with cooperative cancellation:
+// the engine polls ctx inside its cycle loop, so cancelling a request
+// aborts a long simulation promptly instead of at the run boundary. The
+// DAG is only read, so one DAG can serve every seed of a configuration,
+// concurrently; the grid must be the run's own.
+func RunDAG(ctx context.Context, g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64, sched Scheduler) (*Result, error) {
+	c := dag.Circuit()
 	eng := NewEngine(g, dag, cfg, seed, sched)
 	res, err := eng.RunContext(ctx)
 	if err != nil {

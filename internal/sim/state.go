@@ -96,9 +96,11 @@ type State struct {
 	startedThisCycle int
 
 	// Activity tracking: ring buffer of busy flags per ancilla ID, plus
-	// cumulative busy counts for the utilization heatmap.
+	// cumulative busy counts for the utilization heatmap. The ring is
+	// slot-major: row cycle%actWindow holds every ancilla's flag for that
+	// cycle, so the per-cycle update walks one contiguous row.
 	actWindow  int
-	actBuf     []uint8 // [ancID * actWindow + (cycle % actWindow)]
+	actBuf     []uint8 // [(cycle % actWindow) * numAncilla + ancID]
 	actSum     []int   // rolling sums per ancilla
 	actTotal   []int   // cumulative busy cycles per ancilla
 	ancTileIdx []int32 // ancilla ID -> dense tile index, precomputed

@@ -60,7 +60,15 @@
 //   - The engine's per-cycle loop is allocation-free: active ops live in
 //     an ID-ordered list (no map iteration, no per-cycle sort), completion
 //     callbacks reuse one buffer, and per-ancilla activity accounting uses
-//     precomputed tile indices.
+//     precomputed tile indices over a slot-major activity ring, so each
+//     cycle updates one contiguous row of it.
+//   - Routing for the static baselines allocates only the path it
+//     returns. The greedy BFS runs on dense, epoch-stamped scratch arrays
+//     owned by the run's grid (Grid.Clone never shares them), and
+//     AutoBraid probes each L route's length with Grid.BraidLen and
+//     builds only the winning braid.
+//   - Each configuration builds its gate DAG once and shares it read-only
+//     across all its seeded runs.
 //   - Options.Parallel runs the Options.Runs seeded simulations on a
 //     bounded worker pool (one worker per CPU). Each run owns its grid,
 //     scheduler and RNG, and results are aggregated in seed order, so a
@@ -387,6 +395,8 @@ func runCircuit(ctx context.Context, c *circuit.Circuit, opts Options) (Summary,
 	if err != nil {
 		return Summary{}, err
 	}
+	// The DAG is read-only, so every seed shares one build.
+	dag := circuit.NewDAG(c)
 	sim.ParallelFor(opts.Runs, workers, func(i int) {
 		g := baseGrid.Clone()
 		if opts.Compression > 0 {
@@ -397,7 +407,7 @@ func runCircuit(ctx context.Context, c *circuit.Circuit, opts Options) (Summary,
 			errs[i] = err
 			return
 		}
-		results[i], errs[i] = sim.RunSeededContext(ctx, g, c, cfg, opts.Seed+int64(i), s)
+		results[i], errs[i] = sim.RunDAG(ctx, g, dag, cfg, opts.Seed+int64(i), s)
 	})
 	for _, err := range errs {
 		if err != nil {
